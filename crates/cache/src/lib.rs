@@ -19,22 +19,22 @@
 //!   cache for distributed training,
 //! * fault machinery for chaos testing that directory: deterministic
 //!   membership schedules ([`fault_schedule`]) and rendezvous hashing
-//!   ([`rendezvous_order`]) for rebalancing when a node dies.
+//!   ([`rendezvous_order`]) for rebalancing when a node dies,
+//! * [`shard_of_key`] — the key→shard routing shared by every sharded
+//!   cache layer of the runtime.
 
 pub mod fault;
 pub mod hierarchy;
 pub mod partitioned;
 pub mod policy;
 pub mod ring;
-pub mod sharded;
 pub mod stats;
 
 pub use fault::{fault_schedule, FaultEvent, FaultKind};
 pub use hierarchy::{ChainAccess, ChainSource, DemotionStats, TierChain, TierCost, TierSpec};
 pub use partitioned::{Location, PartitionedIndex, ServerId};
 pub use policy::{ClockCache, FifoCache, LruCache, MinIoCache, PolicyKind};
-pub use ring::{rendezvous_order, rendezvous_pick, rendezvous_score};
-pub use sharded::{shard_of_key, ShardedChain};
+pub use ring::{rendezvous_order, rendezvous_pick, rendezvous_score, shard_of_key};
 pub use stats::{AccessOutcome, CacheStats};
 
 use std::hash::Hash;
@@ -85,8 +85,9 @@ pub trait Cache<K: Hash + Eq + Clone> {
 
     /// Keys evicted since the last call, in eviction order.
     ///
-    /// Byte-holding wrappers (the CoorDL runtime's `PolicyByteCache`) use
-    /// this to drop the payloads of evicted entries.  Returns nothing unless
+    /// [`TierChain`] uses this to demote victims down the hierarchy and to
+    /// report the keys that fell off it, whose payloads byte-holding
+    /// wrappers (the CoorDL runtime's `TieredByteCache`) then drop.  Returns nothing unless
     /// [`Cache::set_eviction_tracking`] was enabled first.
     fn take_evicted(&mut self) -> Vec<K> {
         Vec::new()

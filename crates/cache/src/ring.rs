@@ -1,4 +1,5 @@
-//! Rendezvous (highest-random-weight) hashing for shard rebalancing.
+//! Key routing: rendezvous (highest-random-weight) hashing for shard
+//! rebalancing, and the fixed key→shard map every sharded cache layer uses.
 //!
 //! When a partitioned cluster loses a node, every item the directory mapped
 //! to it needs a new preferred home.  Rendezvous hashing gives each
@@ -14,6 +15,22 @@ fn mix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// The canonical shard routing: which of `num_shards` buckets `key` belongs
+/// to.  Every layer that partitions cache state by key — the runtime's
+/// sharded `TieredByteCache` and the parallel fetch pool's thread-ownership
+/// map — MUST route through this one function, so a key's tier
+/// transactions always land on the same shard (and therefore the same
+/// owning lock/thread) no matter which layer asks.
+///
+/// # Panics
+/// Panics when `num_shards` is zero.
+pub fn shard_of_key(key: u64, num_shards: usize) -> usize {
+    assert!(num_shards > 0, "shard routing needs at least one shard");
+    // Offsetting before the finalizer decorrelates sequential item ids, so
+    // shards fill uniformly even under strided key namespaces.
+    (mix(key.wrapping_add(0x9E37_79B9_7F4A_7C15)) % num_shards as u64) as usize
 }
 
 /// The rendezvous weight of placing `item` on `node`: a pure function of the
@@ -51,6 +68,20 @@ pub fn rendezvous_pick(item: u64, candidates: &[usize]) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn shard_routing_is_pinned_and_in_range() {
+        // Cache digests depend on which shard owns which key: pin the map.
+        let eight: Vec<usize> = (0..16).map(|k| shard_of_key(k, 8)).collect();
+        assert_eq!(eight, [7, 1, 6, 5, 2, 2, 0, 7, 6, 4, 2, 5, 3, 7, 6, 5]);
+        let three: Vec<usize> = (0..16).map(|k| shard_of_key(k, 3)).collect();
+        assert_eq!(three, [1, 2, 1, 0, 1, 2, 2, 0, 1, 1, 1, 0, 0, 1, 2, 2]);
+        for shards in [1usize, 2, 3, 8] {
+            assert!((0..500).all(|k| shard_of_key(k, shards) < shards));
+        }
+        // One shard routes everything to bucket 0 (the serial special case).
+        assert!((0..100).all(|k| shard_of_key(k, 1) == 0));
+    }
 
     #[test]
     fn order_is_deterministic_and_a_permutation() {

@@ -4,9 +4,10 @@
 //! implementation of the paper's three techniques, unified behind one
 //! [`Session`] builder that mirrors the simulator's `pipeline::Experiment`:
 //!
-//! * the **MinIO cache** ([`MinIoByteCache`]) — a DNN-aware software cache
-//!   that admits raw items until full and never evicts them, so every epoch
-//!   after warm-up performs only capacity misses (§4.1),
+//! * the **MinIO cache** (the default [`TieredByteCache`] policy) — a
+//!   DNN-aware software cache that admits raw items until full and never
+//!   evicts them, so every epoch after warm-up performs only capacity
+//!   misses (§4.1),
 //! * **coordinated prep** ([`Mode::Coordinated`], [`StagingArea`]) — when
 //!   several hyper-parameter-search jobs train on the same dataset on one
 //!   server, the dataset is fetched and pre-processed exactly once per epoch
@@ -17,13 +18,15 @@
 //!   cache tier holds a shard of the dataset and local misses are served from
 //!   the remote cache instead of storage (§4.2).
 //!
-//! A session composes a pluggable [`CacheTier`] (MinIO, or any
-//! `coordl-cache` policy via [`PolicyByteCache`]) over a pluggable
-//! [`FetchBackend`] ([`DirectBackend`], or [`ProfiledBackend`] timed by a
-//! `storage::DeviceProfile`), hands out per-job [`BatchStream`] iterators
-//! from [`Session::epoch`] and produces a [`LoaderReport`] whose JSON is
-//! structurally comparable to the simulator's reports — the contract
-//! `dstool validate` exploits to diff predicted against empirical behaviour.
+//! A session composes a pluggable [`CacheTier`] — by default a
+//! [`TieredByteCache`], the crate's one byte-cache engine, under MinIO or any
+//! other `coordl-cache` policy, one level or a DRAM→SSD hierarchy — over a
+//! pluggable [`FetchBackend`] ([`DirectBackend`], or [`ProfiledBackend`]
+//! timed by a `storage::DeviceProfile`), hands out per-job [`BatchStream`]
+//! iterators from [`Session::epoch`] and produces a [`LoaderReport`] whose
+//! JSON is structurally comparable to the simulator's reports — the
+//! contract `dstool validate` exploits to diff predicted against empirical
+//! behaviour.
 //!
 //! Every mode runs on one **prefetching executor** (the paper's overlap
 //! prescription, §2/§5): a single fetch thread sweeps the epoch plan in
@@ -40,7 +43,6 @@
 //! fresh per-epoch randomness, sharing, and fault handling.
 
 pub mod backend;
-pub mod cache;
 pub mod coordinator;
 pub mod error;
 pub(crate) mod executor;
@@ -57,7 +59,6 @@ pub mod stats;
 pub mod tier;
 
 pub use backend::{DirectBackend, FetchBackend, ProfiledBackend};
-pub use cache::MinIoByteCache;
 pub use coordinator::{EpochSession, JobEpochIterator};
 pub use error::CoordlError;
 pub use fault::{FaultClock, FaultEvent, FaultKind, FaultPlan, FaultStep};
@@ -73,6 +74,4 @@ pub use session::{
 };
 pub use staging::{PublishOutcome, StagingArea, StagingStats, TakeError};
 pub use stats::LoaderStats;
-pub use tier::{
-    ByteTierSpec, CacheTier, PolicyByteCache, TierBacking, TierSnapshot, TieredByteCache,
-};
+pub use tier::{ByteTierSpec, CacheTier, TierBacking, TierSnapshot, TieredByteCache};

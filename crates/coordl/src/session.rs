@@ -373,15 +373,15 @@ impl SessionBuilder {
         }));
         let stats = Arc::new(LoaderStats::default());
 
-        // Every policy-built tier is a TierChain underneath: a single-level
-        // chain is pinned bit-identical to the dedicated MinIO/policy byte
-        // caches, so the hierarchy refactor changes no observable number.
-        // The shard count ties the tier to the fetch pool: 1 shard for a
-        // serial session (the exact legacy tier), `resolved_fetch_shards()`
-        // otherwise, so pool-thread ownership and tier-shard locking agree.
+        // Every policy-built tier is a TieredByteCache: a single-level one
+        // replays its `dcache` policy exactly.  The shard count ties the tier
+        // to the fetch pool: 1 shard for a serial session,
+        // `resolved_fetch_shards()` otherwise, so pool-thread ownership and
+        // tier-shard locking agree.  A persistent level whose spill store
+        // fails to open or replay is a typed error, not a panic.
         let shards = config.resolved_fetch_shards();
-        let build_tier = |choice: &TierChoice| -> Arc<dyn CacheTier> {
-            match choice {
+        let build_tier = |choice: &TierChoice| -> Result<Arc<dyn CacheTier>, CoordlError> {
+            Ok(match choice {
                 TierChoice::Custom(t) => Arc::clone(t),
                 TierChoice::Policy(kind) => Arc::new(TieredByteCache::single_sharded(
                     *kind,
@@ -389,15 +389,15 @@ impl SessionBuilder {
                     shards,
                 )),
                 TierChoice::Tiers(specs) => {
-                    Arc::new(TieredByteCache::new_sharded(specs.clone(), shards))
+                    Arc::new(TieredByteCache::try_new_sharded(specs.clone(), shards)?)
                 }
-            }
+            })
         };
 
         let kind = match self.mode {
             Mode::Single => SessionKind::Single {
                 stack: LoaderStack {
-                    tier: build_tier(&self.tier),
+                    tier: build_tier(&self.tier)?,
                     backend: Arc::clone(&backend),
                     stats: Arc::clone(&stats),
                     pipeline: Arc::clone(&pipeline),
@@ -406,7 +406,7 @@ impl SessionBuilder {
             Mode::Coordinated { jobs } => SessionKind::Coordinated {
                 engine: CoordinatedEngine {
                     stack: LoaderStack {
-                        tier: build_tier(&self.tier),
+                        tier: build_tier(&self.tier)?,
                         backend: Arc::clone(&backend),
                         stats: Arc::clone(&stats),
                         pipeline: Arc::clone(&pipeline),
@@ -429,7 +429,9 @@ impl SessionBuilder {
                         "partitioned mode builds one tier per node; use cache_policy".into(),
                     ));
                 }
-                let tiers = (0..nodes).map(|_| build_tier(&self.tier)).collect();
+                let tiers = (0..nodes)
+                    .map(|_| build_tier(&self.tier))
+                    .collect::<Result<_, _>>()?;
                 let cluster = Arc::new(PartitionedCacheCluster::with_stack(
                     Arc::clone(&backend),
                     tiers,
@@ -966,7 +968,6 @@ impl Iterator for BatchStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MinIoByteCache;
     use dataset::{DatasetSpec, SyntheticItemStore};
     use std::collections::HashSet;
 
@@ -1179,18 +1180,19 @@ mod tests {
     }
 
     #[test]
-    fn default_chain_tier_matches_dedicated_minio_byte_cache_bitwise() {
-        // The hierarchy refactor's core pin at the session level: the
-        // TierChain-backed default tier delivers the same streams and the
-        // same counters as the dedicated MinIoByteCache it replaced.
+    fn default_tier_matches_a_custom_tier_and_the_dcache_policy() {
+        // The default tier and the same cache injected through `cache_tier`
+        // deliver identical streams and counters, and those counters are
+        // what the raw `dcache` MinIO policy reports for the same fetches.
         let spec = DatasetSpec::new("sess", 120, 700, 0.25, 4.0);
         let ds: Arc<dyn DataSource> = Arc::new(SyntheticItemStore::new(spec.clone(), 9));
         let cache = spec.total_bytes() / 2; // partial residency
         let run = |custom: bool| {
             let mut builder = Session::builder(Arc::clone(&ds), config(16, cache));
             if custom {
-                builder =
-                    builder.cache_tier(Arc::new(MinIoByteCache::new(cache)) as Arc<dyn CacheTier>);
+                builder = builder
+                    .cache_tier(Arc::new(TieredByteCache::single(PolicyKind::MinIo, cache))
+                        as Arc<dyn CacheTier>);
             }
             let session = builder.build().unwrap();
             let mut samples = Vec::new();
@@ -1218,6 +1220,14 @@ mod tests {
             chain_report.lower_tier_hits, 0,
             "flat chain has no levels below DRAM"
         );
+        // A serial session fetches in delivery order: replay it.
+        let mut oracle = dcache::build_cache(PolicyKind::MinIo, cache);
+        for sample in &chain_samples {
+            oracle.access(sample.item, ds.item_bytes(sample.item));
+        }
+        assert_eq!(chain_report.cache_hits, oracle.stats().hits);
+        assert_eq!(chain_report.cache_misses, oracle.stats().misses);
+        assert_eq!(chain_report.cache_used_bytes, oracle.used_bytes());
         // Per-epoch deterministic counters (the *_seconds fields are wall
         // clock and legitimately differ run to run).
         let deterministic = |e: &EpochTrajectory| {
@@ -1318,7 +1328,7 @@ mod tests {
         assert!(matches!(bad, Err(CoordlError::InvalidConfig(_))));
         let bad = Session::builder(Arc::clone(&ds), SessionConfig::default())
             .mode(Mode::Partitioned { nodes: 2 })
-            .cache_tier(Arc::new(MinIoByteCache::new(10)))
+            .cache_tier(Arc::new(TieredByteCache::single(PolicyKind::MinIo, 10)))
             .build();
         assert!(matches!(bad, Err(CoordlError::InvalidConfig(_))));
         // A fault plan only makes sense for a partitioned cluster ...

@@ -1,26 +1,22 @@
 //! Pluggable byte-cache tiers.
 //!
 //! A [`CacheTier`] sits between a [`Session`](crate::Session)'s prep workers
-//! and its [`FetchBackend`](crate::FetchBackend).  Three implementations
-//! ship with the crate:
-//!
-//! * [`TieredByteCache`] — a `dcache::TierChain` of real byte tiers (DRAM
-//!   MinIO/LRU/FIFO/CLOCK spilling into a profiled local-SSD tier, and so
-//!   on), the tier every session builds by default — a single-level chain is
-//!   bit-identical to the dedicated implementations below;
-//! * [`MinIoByteCache`] — CoorDL's own never-evict policy (§4.1) as a
-//!   standalone lock-free-ish cache;
-//! * [`PolicyByteCache`] — any single `coordl-cache` replacement policy
-//!   holding real item bytes, so the runtime can reproduce the page-cache
-//!   thrashing the paper measures with the *same* policy code the
-//!   simulator's [`storage::StorageNode`] uses.
+//! and its [`FetchBackend`](crate::FetchBackend).  The crate has one
+//! byte-cache engine, [`TieredByteCache`]: a `dcache::TierChain` of real byte
+//! tiers (DRAM MinIO/LRU/FIFO/CLOCK spilling into a profiled local-SSD tier,
+//! and so on) split into key-routed shards.  Every policy-built session tier
+//! is one, and a multi-tenant [`Server`](crate::Server) shares one between
+//! its tenants.  Its levels run the *same* `coordl-cache` policy code the
+//! simulator's [`storage::StorageNode`] uses, so the runtime reproduces both
+//! CoorDL's never-evict MinIO policy (§4.1) and the page-cache thrashing the
+//! paper measures.
 
-use crate::cache::MinIoByteCache;
 use crate::error::CoordlError;
 use dataset::ItemId;
-use dcache::{build_cache, AccessOutcome, Cache, ChainAccess, PolicyKind, TierChain, TierSpec};
+use dcache::{shard_of_key, ChainAccess, ChainSource, PolicyKind, TierChain, TierSpec};
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 use storage::{AccessPattern, DeviceProfile};
 use vfs::{SpillStore, Vfs};
@@ -115,146 +111,6 @@ pub struct TierSnapshot {
     /// Modelled busy time of this level's backing device across all hits,
     /// in seconds (0 for unprofiled DRAM levels).
     pub device_seconds: f64,
-}
-
-impl CacheTier for MinIoByteCache {
-    fn lookup(&self, item: ItemId) -> Option<Arc<Vec<u8>>> {
-        self.get(item)
-    }
-
-    fn admit(&self, item: ItemId, bytes: Arc<Vec<u8>>) -> Arc<Vec<u8>> {
-        self.insert(item, bytes)
-    }
-
-    fn contains(&self, item: ItemId) -> bool {
-        MinIoByteCache::contains(self, item)
-    }
-
-    fn used_bytes(&self) -> u64 {
-        MinIoByteCache::used_bytes(self)
-    }
-
-    fn capacity_bytes(&self) -> u64 {
-        MinIoByteCache::capacity_bytes(self)
-    }
-
-    fn resident_items(&self) -> usize {
-        self.len()
-    }
-
-    fn hits(&self) -> u64 {
-        MinIoByteCache::hits(self)
-    }
-
-    fn misses(&self) -> u64 {
-        MinIoByteCache::misses(self)
-    }
-
-    fn policy_name(&self) -> &'static str {
-        PolicyKind::MinIo.name()
-    }
-}
-
-struct PolicyInner {
-    policy: Box<dyn Cache<u64> + Send>,
-    bytes: HashMap<ItemId, Arc<Vec<u8>>>,
-    // Fetch counters live in the wrapper, not the policy: with concurrent
-    // workers, a lookup miss raced by another worker's admit would otherwise
-    // be lost (the policy sees neither a miss nor a hit for it).  Counting
-    // at lookup time matches MinIoByteCache exactly: one hit or one miss per
-    // fetch, always.
-    hits: u64,
-    misses: u64,
-}
-
-/// A byte-holding cache tier driven by any `coordl-cache` replacement
-/// policy.
-///
-/// The policy decides residency and eviction; this wrapper stores the actual
-/// payloads and drops them as soon as the policy reports their eviction (via
-/// [`Cache::take_evicted`]), so resident bytes always equal what the policy
-/// accounts.
-pub struct PolicyByteCache {
-    inner: Mutex<PolicyInner>,
-    name: &'static str,
-}
-
-impl PolicyByteCache {
-    /// Create a byte cache driven by `kind` with the given byte capacity.
-    pub fn new(kind: PolicyKind, capacity_bytes: u64) -> Self {
-        let mut policy = build_cache(kind, capacity_bytes);
-        // Victim logging is opt-in (plain simulations skip it); this wrapper
-        // needs it to drop payloads alongside their evicted entries.
-        policy.set_eviction_tracking(true);
-        PolicyByteCache {
-            inner: Mutex::new(PolicyInner {
-                policy,
-                bytes: HashMap::new(),
-                hits: 0,
-                misses: 0,
-            }),
-            name: kind.name(),
-        }
-    }
-}
-
-impl CacheTier for PolicyByteCache {
-    fn lookup(&self, item: ItemId) -> Option<Arc<Vec<u8>>> {
-        let mut inner = self.inner.lock();
-        let Some(bytes) = inner.bytes.get(&item).map(Arc::clone) else {
-            inner.misses += 1;
-            return None;
-        };
-        inner.hits += 1;
-        // Touch recency in the policy (LRU promotion, CLOCK bit, ...).
-        let outcome = inner.policy.access(item, bytes.len() as u64);
-        debug_assert_eq!(outcome, AccessOutcome::Hit);
-        Some(bytes)
-    }
-
-    fn admit(&self, item: ItemId, bytes: Arc<Vec<u8>>) -> Arc<Vec<u8>> {
-        let mut inner = self.inner.lock();
-        if inner.bytes.contains_key(&item) {
-            // A concurrent worker admitted it first; keep the resident copy.
-            return Arc::clone(&inner.bytes[&item]);
-        }
-        let outcome = inner.policy.access(item, bytes.len() as u64);
-        for victim in inner.policy.take_evicted() {
-            inner.bytes.remove(&victim);
-        }
-        if outcome == AccessOutcome::Inserted {
-            inner.bytes.insert(item, Arc::clone(&bytes));
-        }
-        bytes
-    }
-
-    fn contains(&self, item: ItemId) -> bool {
-        self.inner.lock().policy.contains(&item)
-    }
-
-    fn used_bytes(&self) -> u64 {
-        self.inner.lock().policy.used_bytes()
-    }
-
-    fn capacity_bytes(&self) -> u64 {
-        self.inner.lock().policy.capacity_bytes()
-    }
-
-    fn resident_items(&self) -> usize {
-        self.inner.lock().policy.len()
-    }
-
-    fn hits(&self) -> u64 {
-        self.inner.lock().hits
-    }
-
-    fn misses(&self) -> u64 {
-        self.inner.lock().misses
-    }
-
-    fn policy_name(&self) -> &'static str {
-        self.name
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -364,7 +220,7 @@ impl ByteTierSpec {
         self
     }
 
-    pub(crate) fn tier_spec(&self) -> TierSpec {
+    fn tier_spec(&self) -> TierSpec {
         TierSpec {
             name: self.name,
             policy: self.policy,
@@ -380,7 +236,7 @@ impl ByteTierSpec {
 /// Intern a hierarchy label: leak it at most once per distinct string (the
 /// label space is the tiny set of tier-layout names, so the table stays a
 /// handful of entries for the process lifetime).
-pub(crate) fn intern_label(label: String) -> &'static str {
+fn intern_label(label: String) -> &'static str {
     static LABELS: std::sync::Mutex<Vec<&'static str>> = std::sync::Mutex::new(Vec::new());
     // Interning is idempotent, so a panic between lock and push leaves the
     // table merely shorter, never wrong: recover from poisoning instead of
@@ -396,73 +252,75 @@ pub(crate) fn intern_label(label: String) -> &'static str {
     leaked
 }
 
-struct TieredInner {
+/// One key-routed shard of a [`TieredByteCache`]: its slice of every
+/// level's capacity and the payloads of the keys routed to it.
+struct Shard {
     chain: TierChain,
-    /// One payload per resident item, shared by every level that holds it.
-    bytes: HashMap<ItemId, Arc<Vec<u8>>>,
-    // Fetch counters at the wrapper, exactly like PolicyByteCache: one hit
-    // or one miss per fetch, counted at lookup time.
+    /// One payload per resident key, shared by every level that holds it.
+    bytes: HashMap<u64, Arc<Vec<u8>>>,
+    // Fetch counters live here, not in the chain: a lookup miss raced by
+    // another worker's admit never reaches the chain, yet it was a fetch.
+    // One hit or one miss per lookup, always.
     hits: u64,
     misses: u64,
     /// Modelled per-level device busy seconds across all hits.
     level_seconds: Vec<f64>,
-    /// Per-level durable mirror (`Some` only for `TierBacking::Vfs` levels).
-    spills: Vec<Option<SpillStore>>,
 }
 
-impl TieredInner {
-    /// Mirror a chain access's demotion landings and drops into the durable
-    /// per-level stores.  A no-op when every level is memory-backed.
-    fn reconcile_spills(&mut self, access: &ChainAccess) {
-        if self.spills.iter().all(Option::is_none) {
-            return;
-        }
-        let TieredInner { bytes, spills, .. } = self;
-        for &(key, level) in &access.demoted {
-            if let Some(spill) = &mut spills[level] {
-                let payload = bytes
-                    .get(&key)
-                    .expect("demoted key must have a resident payload");
-                spill
-                    .write(key, payload)
-                    .expect("spill write failed on demotion");
-            }
-            // Stale copies at other persistent levels are dropped lazily:
-            // removing here would fight the promotion-keeps-lower-copy rule.
-        }
-        for &key in &access.dropped {
-            for spill in spills.iter_mut().flatten() {
-                spill.remove(key).expect("spill remove failed on drop");
-            }
-        }
-    }
+/// A lookup hit through [`TieredByteCache::lookup_floored`], reported back
+/// to a wrapper that keeps its own books.
+pub(crate) struct Hit<B> {
+    /// The resident payload.
+    pub(crate) bytes: Arc<Vec<u8>>,
+    /// The level that served the hit.
+    pub(crate) level: usize,
+    /// The level a promotion admitted the key into, if the hit promoted it.
+    pub(crate) promoted_to: Option<usize>,
+    /// Modelled device seconds of the hit (0 at unprofiled DRAM levels).
+    pub(crate) device_seconds: f64,
+    /// What the floor callback returned alongside the floor.
+    pub(crate) books: B,
 }
 
-/// A byte-holding cache-tier *hierarchy*: a `dcache::TierChain` decides
+/// An admission through [`TieredByteCache::admit_floored`], reported back
+/// to a wrapper that keeps its own books.
+pub(crate) struct Admission<B> {
+    /// The level the key was admitted into (`None`: every level at or below
+    /// the floor bypassed it).
+    pub(crate) level: Option<usize>,
+    /// What the floor callback returned alongside the floor.
+    pub(crate) books: B,
+}
+
+/// The crate's byte-cache engine: a `dcache::TierChain` hierarchy decides
 /// residency, demotion and per-level statistics while this wrapper stores
 /// the actual payloads (dropped the moment a key falls off the chain).
 ///
-/// A single-level, single-shard `TieredByteCache` is bit-identical to
-/// [`MinIoByteCache`] / [`PolicyByteCache`] under the sequential fetch order
-/// every serial [`Session`](crate::Session) executor guarantees — which is
-/// why sessions build their tiers through it by default.
+/// A single-level cache is its policy: driven through one fetch sequence,
+/// its hits, misses, residency and used bytes equal those of
+/// `dcache::build_cache` with the same policy and capacity (pinned by
+/// `tests/session_equivalence.rs`).
 ///
 /// **Sharding.**  A cache built with `num_shards > 1` splits every level
-/// into `num_shards` independent chains (capacity divided like
-/// `dcache::ShardedChain`: `cap / S` per shard, the first `cap % S` shards
-/// one byte larger) and routes each key to its shard by
-/// [`dcache::shard_of_key`] — the same routing the executor's fetch pool
+/// into `num_shards` independent chains (`cap / S` bytes per shard, the
+/// first `cap % S` shards one byte larger) and routes each key to its shard
+/// by [`dcache::shard_of_key`] — the same routing the executor's fetch pool
 /// partitions plan items by.  Because owners are aligned, every shard sees
 /// its keys in plan order no matter how many fetch threads run, so a
 /// sharded cache's hits/misses/evictions are a pure function of the plan
-/// and the shard count.  One shard is the exact legacy cache (same chain,
-/// same spill directory layout); persistent levels of an `S > 1` cache
-/// spill into `{dir}/shard-{k}` subdirectories, so the shard count must be
-/// kept stable across restarts for warm-up to find its files.
+/// and the shard count.
+///
+/// **Persistence.**  Each [`TierBacking::Vfs`] level keeps one
+/// [`SpillStore`] shared by every shard and locked strictly after the shard
+/// lock.  Construction replays it, routing each key to its shard, so a
+/// cache rebuilt over the same VFS warms up whatever its shard count.
 pub struct TieredByteCache {
-    shards: Vec<Mutex<TieredInner>>,
-    /// The *aggregate* level descriptions (full capacities, original spill
-    /// directories) the cache was built from.
+    shards: Vec<Mutex<Shard>>,
+    /// The durable mirror of each persistent level (`None` for memory
+    /// levels).
+    spills: Vec<Option<Mutex<SpillStore>>>,
+    /// The *aggregate* level descriptions (full capacities) the cache was
+    /// built from.
     specs: Vec<ByteTierSpec>,
     name: &'static str,
 }
@@ -488,47 +346,82 @@ impl TieredByteCache {
 
     /// Like [`TieredByteCache::new`], surfacing persistent-level VFS
     /// failures as [`CoordlError::InvalidConfig`] instead of panicking.
-    ///
-    /// Levels with [`TierBacking::Vfs`] open their [`SpillStore`] here and
-    /// replay the on-disk manifest: every recorded key is re-offered to the
-    /// chain at that level (admission floor pins it below faster tiers) with
-    /// its payload read back from disk, then all statistics are reset — a
-    /// restarted cache starts warm but with clean counters.
     pub fn try_new(specs: Vec<ByteTierSpec>) -> Result<Self, CoordlError> {
         Self::try_new_sharded(specs, 1)
     }
 
     /// The fallible form of [`TieredByteCache::new_sharded`].
+    ///
+    /// Levels with [`TierBacking::Vfs`] open their [`SpillStore`] here and
+    /// replay the on-disk manifest: every recorded key is re-offered to its
+    /// shard's chain at that level (the admission floor keeps it out of
+    /// faster levels) with its payload read back from disk, then all
+    /// statistics are reset — a restarted cache starts warm but with clean
+    /// counters.  Entries the level no longer holds (it shrank across the
+    /// restart, or a faster level already has the key) are retired from the
+    /// store, so later restarts do not replay them either.
     pub fn try_new_sharded(
         specs: Vec<ByteTierSpec>,
         num_shards: usize,
     ) -> Result<Self, CoordlError> {
         assert!(!specs.is_empty(), "need at least one tier");
         assert!(num_shards > 0, "need at least one shard");
-        let mut shards = Vec::with_capacity(num_shards);
-        for shard in 0..num_shards {
-            // Per-shard level specs: capacity split exactly like
-            // dcache::ShardedChain, spill directories per shard (but the
-            // legacy layout untouched for the 1-shard cache).
-            let shard_specs: Vec<ByteTierSpec> = specs
-                .iter()
-                .map(|spec| {
-                    let mut s = spec.clone();
-                    let base = s.capacity_bytes / num_shards as u64;
-                    let extra = u64::from((shard as u64) < s.capacity_bytes % num_shards as u64);
-                    s.capacity_bytes = base + extra;
-                    if num_shards > 1 {
-                        if let TierBacking::Vfs { vfs, dir } = &s.backing {
-                            s.backing = TierBacking::Vfs {
-                                vfs: Arc::clone(vfs),
-                                dir: format!("{dir}/shard-{shard}"),
-                            };
-                        }
-                    }
-                    s
-                })
-                .collect();
-            shards.push(Mutex::new(Self::build_shard(&shard_specs)?));
+        let split = |cap: u64, shard: usize| {
+            cap / num_shards as u64 + u64::from((shard as u64) < cap % num_shards as u64)
+        };
+        let mut shards: Vec<Shard> = (0..num_shards)
+            .map(|shard| Shard {
+                chain: TierChain::new(
+                    specs
+                        .iter()
+                        .map(|spec| TierSpec {
+                            capacity_bytes: split(spec.capacity_bytes, shard),
+                            ..spec.tier_spec()
+                        })
+                        .collect(),
+                ),
+                bytes: HashMap::new(),
+                hits: 0,
+                misses: 0,
+                level_seconds: vec![0.0; specs.len()],
+            })
+            .collect();
+        let mut spills = Vec::with_capacity(specs.len());
+        for (level, spec) in specs.iter().enumerate() {
+            let TierBacking::Vfs { vfs, dir } = &spec.backing else {
+                spills.push(None);
+                continue;
+            };
+            let failed = |what: String, e: vfs::VfsError| {
+                CoordlError::InvalidConfig(format!(
+                    "persistent tier {:?} failed {what}: {e}",
+                    spec.name
+                ))
+            };
+            let mut spill = SpillStore::open(Arc::clone(vfs), dir)
+                .map_err(|e| failed(format!("to open {dir}"), e))?;
+            // Replay in key order (deterministic).
+            for (key, len) in spill.entries().collect::<Vec<_>>() {
+                let shard = &mut shards[shard_of_key(key, num_shards)];
+                let access = shard.chain.access_with_floor(key, len, level);
+                if access.admitted {
+                    let payload = spill
+                        .read(key)
+                        .map_err(|e| failed(format!("replaying item {key}"), e))?;
+                    shard.bytes.insert(key, Arc::new(payload));
+                } else {
+                    let _ = spill.remove(key);
+                }
+                for victim in access.dropped {
+                    shard.bytes.remove(&victim);
+                    let _ = spill.remove(victim);
+                }
+            }
+            spills.push(Some(Mutex::new(spill)));
+        }
+        // Warm contents, cold statistics.
+        for shard in &mut shards {
+            shard.chain.reset_stats();
         }
         // Single-level hierarchies report the plain policy name so existing
         // reports are unchanged; deeper chains get a composite label,
@@ -545,58 +438,10 @@ impl TieredByteCache {
             intern_label(label)
         };
         Ok(TieredByteCache {
-            shards,
+            shards: shards.into_iter().map(Mutex::new).collect(),
+            spills,
             specs,
             name,
-        })
-    }
-
-    /// Build one shard's chain + payload map + spill stores from its
-    /// (already capacity-split) level specs, warm-replaying persistent
-    /// levels.
-    fn build_shard(specs: &[ByteTierSpec]) -> Result<TieredInner, CoordlError> {
-        let mut chain = TierChain::new(specs.iter().map(ByteTierSpec::tier_spec).collect());
-        let mut bytes = HashMap::new();
-        let mut spills = Vec::with_capacity(specs.len());
-        for (level, spec) in specs.iter().enumerate() {
-            match &spec.backing {
-                TierBacking::Memory => spills.push(None),
-                TierBacking::Vfs { vfs, dir } => {
-                    let spill = SpillStore::open(Arc::clone(vfs), dir).map_err(|e| {
-                        CoordlError::InvalidConfig(format!(
-                            "persistent tier {:?} failed to open {dir}: {e}",
-                            spec.name
-                        ))
-                    })?;
-                    // Warm-up: repopulate this level from the manifest, in
-                    // key order (deterministic).  The floor keeps replayed
-                    // keys out of the faster levels above.
-                    for (key, len) in spill.entries().collect::<Vec<_>>() {
-                        let access = chain.access_with_floor(key, len, level);
-                        if access.admitted {
-                            let payload = spill.read(key).map_err(|e| {
-                                CoordlError::InvalidConfig(format!(
-                                    "persistent tier {:?} failed replaying item {key}: {e}",
-                                    spec.name
-                                ))
-                            })?;
-                            bytes.insert(key, Arc::new(payload));
-                        }
-                    }
-                    spills.push(Some(spill));
-                }
-            }
-        }
-        // Warm contents, cold statistics.
-        chain.reset_stats();
-        let levels = specs.len();
-        Ok(TieredInner {
-            chain,
-            bytes,
-            hits: 0,
-            misses: 0,
-            level_seconds: vec![0.0; levels],
-            spills,
         })
     }
 
@@ -621,70 +466,161 @@ impl TieredByteCache {
         self.shards.len()
     }
 
-    /// The shard owning `item` under [`dcache::shard_of_key`] routing.
-    fn shard_for(&self, item: ItemId) -> &Mutex<TieredInner> {
-        &self.shards[dcache::shard_of_key(item, self.shards.len())]
+    /// The shard owning `key` under [`dcache::shard_of_key`] routing.
+    fn shard_for(&self, key: u64) -> &Mutex<Shard> {
+        &self.shards[shard_of_key(key, self.shards.len())]
+    }
+
+    /// [`CacheTier::lookup_traced`] with the promotion floor chosen under
+    /// the shard lock: `floor(size)` returns the lowest level a promotion
+    /// may land at plus the caller's books (typically a guard on its own
+    /// counters), handed back in the [`Hit`].  `None` is a miss.
+    pub(crate) fn lookup_floored<B>(
+        &self,
+        key: u64,
+        floor: impl FnOnce(u64) -> (usize, B),
+    ) -> Option<Hit<B>> {
+        let mut shard = self.shard_for(key).lock();
+        let Some(bytes) = shard.bytes.get(&key).map(Arc::clone) else {
+            shard.misses += 1;
+            return None;
+        };
+        shard.hits += 1;
+        let size = bytes.len() as u64;
+        let (floor, books) = floor(size);
+        // Touch recency, promote towards DRAM, demote what that displaces.
+        let access = shard.chain.access_with_floor(key, size, floor);
+        let ChainSource::Tier(level) = access.source else {
+            unreachable!("payload implies residency")
+        };
+        // Only profiled levels account modelled device time; DRAM hits (the
+        // hot path) skip the cost math entirely.
+        let mut device_seconds = 0.0;
+        if self.specs[level].profile.is_some() {
+            device_seconds = shard.chain.tier_cost(level).access_seconds(size);
+            shard.level_seconds[level] += device_seconds;
+        }
+        let promoted_to = self.commit(&mut shard, key, &bytes, &access);
+        Some(Hit {
+            bytes,
+            level,
+            promoted_to,
+            device_seconds,
+            books,
+        })
+    }
+
+    /// [`CacheTier::admit`] with the admission floor chosen under the shard
+    /// lock, like [`TieredByteCache::lookup_floored`].  Alongside the bytes
+    /// to use, returns the [`Admission`] — or nothing when a racing admit
+    /// already made the key resident.
+    pub(crate) fn admit_floored<B>(
+        &self,
+        key: u64,
+        bytes: Arc<Vec<u8>>,
+        floor: impl FnOnce(u64) -> (usize, B),
+    ) -> (Arc<Vec<u8>>, Option<Admission<B>>) {
+        let mut shard = self.shard_for(key).lock();
+        if let Some(resident) = shard.bytes.get(&key) {
+            // A concurrent worker admitted it first; keep the resident copy.
+            return (Arc::clone(resident), None);
+        }
+        let size = bytes.len() as u64;
+        let (floor, books) = floor(size);
+        let access = shard.chain.access_with_floor(key, size, floor);
+        if access.admitted {
+            shard.bytes.insert(key, Arc::clone(&bytes));
+        }
+        let level = self.commit(&mut shard, key, &bytes, &access);
+        (bytes, Some(Admission { level, books }))
+    }
+
+    /// Apply a chain access's side effects to the payloads and the durable
+    /// mirrors, returning the level the access admitted `key` into.
+    fn commit(
+        &self,
+        shard: &mut Shard,
+        key: u64,
+        bytes: &[u8],
+        access: &ChainAccess,
+    ) -> Option<usize> {
+        let admitted_at = if access.admitted {
+            shard.chain.locate(key)
+        } else {
+            None
+        };
+        // Admissions (DRAM full or above the floor, SSD accepts; a
+        // promotion) and demotion landings at a persistent level hit its
+        // durable mirror too.  Stale copies at other persistent levels are
+        // dropped lazily: removing them here would fight the
+        // promotion-keeps-lower-copy rule.
+        let landings = admitted_at
+            .map(|level| (key, level))
+            .into_iter()
+            .chain(access.demoted.iter().copied());
+        for (landed, level) in landings {
+            if let Some(spill) = &self.spills[level] {
+                let payload = if landed == key {
+                    bytes
+                } else {
+                    shard
+                        .bytes
+                        .get(&landed)
+                        .expect("demoted key must have a resident payload")
+                };
+                spill
+                    .lock()
+                    .write(landed, payload)
+                    .expect("spill write failed");
+            }
+        }
+        for victim in &access.dropped {
+            shard.bytes.remove(victim);
+            for spill in self.spills.iter().flatten() {
+                spill
+                    .lock()
+                    .remove(*victim)
+                    .expect("spill remove failed on drop");
+            }
+        }
+        admitted_at
+    }
+
+    /// Remove every resident key in `range` (a departing tenant's key
+    /// window): payloads, chain entries at every level and durable copies.
+    /// A lifecycle operation, not an eviction: no statistics are recorded.
+    pub(crate) fn remove_range(&self, range: Range<u64>) {
+        for shard in &self.shards {
+            let mut shard = shard.lock();
+            let keys: Vec<u64> = shard
+                .bytes
+                .keys()
+                .copied()
+                .filter(|k| range.contains(k))
+                .collect();
+            for key in keys {
+                shard.bytes.remove(&key);
+                shard.chain.remove(key);
+                for spill in self.spills.iter().flatten() {
+                    let _ = spill.lock().remove(key);
+                }
+            }
+        }
     }
 }
 
 impl CacheTier for TieredByteCache {
     fn lookup(&self, item: ItemId) -> Option<Arc<Vec<u8>>> {
-        self.lookup_traced(item).map(|(bytes, _)| bytes)
+        self.lookup_floored(item, |_| (0, ())).map(|hit| hit.bytes)
     }
 
     fn lookup_traced(&self, item: ItemId) -> Option<(Arc<Vec<u8>>, usize)> {
-        let mut inner = self.shard_for(item).lock();
-        let Some(bytes) = inner.bytes.get(&item).map(Arc::clone) else {
-            inner.misses += 1;
-            return None;
-        };
-        inner.hits += 1;
-        // Touch recency, promote towards DRAM, demote what that displaces.
-        let access = inner.chain.access(item, bytes.len() as u64);
-        let level = match access.source {
-            dcache::ChainSource::Tier(k) => k,
-            dcache::ChainSource::Store => unreachable!("payload implies residency"),
-        };
-        // Only profiled levels account modelled device time; DRAM hits (the
-        // hot path) skip the cost math entirely.
-        if self.specs[level].profile.is_some() {
-            let secs = inner
-                .chain
-                .tier_cost(level)
-                .access_seconds(bytes.len() as u64);
-            inner.level_seconds[level] += secs;
-        }
-        inner.reconcile_spills(&access);
-        for victim in access.dropped {
-            inner.bytes.remove(&victim);
-        }
-        Some((bytes, level))
+        self.lookup_floored(item, |_| (0, ()))
+            .map(|hit| (hit.bytes, hit.level))
     }
 
     fn admit(&self, item: ItemId, bytes: Arc<Vec<u8>>) -> Arc<Vec<u8>> {
-        let mut inner = self.shard_for(item).lock();
-        if inner.bytes.contains_key(&item) {
-            // A concurrent worker admitted it first; keep the resident copy.
-            return Arc::clone(&inner.bytes[&item]);
-        }
-        let access = inner.chain.access(item, bytes.len() as u64);
-        if access.admitted {
-            inner.bytes.insert(item, Arc::clone(&bytes));
-            // A direct admission into a persistent level (e.g. DRAM full,
-            // SSD accepts) must hit the durable mirror too.
-            if let Some(level) = inner.chain.locate(item) {
-                if let Some(spill) = &mut inner.spills[level] {
-                    spill
-                        .write(item, &bytes)
-                        .expect("spill write failed on admission");
-                }
-            }
-        }
-        inner.reconcile_spills(&access);
-        for victim in access.dropped {
-            inner.bytes.remove(&victim);
-        }
-        bytes
+        self.admit_floored(item, bytes, |_| (0, ())).0
     }
 
     fn contains(&self, item: ItemId) -> bool {
@@ -769,6 +705,7 @@ impl CacheTier for TieredByteCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vfs::MemVfs;
 
     fn payload(item: ItemId, len: usize) -> Arc<Vec<u8>> {
         Arc::new(vec![item as u8; len])
@@ -776,7 +713,7 @@ mod tests {
 
     #[test]
     fn lru_tier_evicts_payloads_with_their_entries() {
-        let tier = PolicyByteCache::new(PolicyKind::Lru, 2);
+        let tier = TieredByteCache::single(PolicyKind::Lru, 2);
         for item in 0..4u64 {
             assert!(tier.lookup(item).is_none());
             tier.admit(item, payload(item, 1));
@@ -792,7 +729,7 @@ mod tests {
 
     #[test]
     fn lru_tier_promotes_on_lookup() {
-        let tier = PolicyByteCache::new(PolicyKind::Lru, 2);
+        let tier = TieredByteCache::single(PolicyKind::Lru, 2);
         tier.admit(1, payload(1, 1));
         tier.admit(2, payload(2, 1));
         let _ = tier.lookup(1); // touch 1: 2 becomes the victim
@@ -801,35 +738,17 @@ mod tests {
     }
 
     #[test]
-    fn minio_policy_tier_matches_minio_byte_cache_semantics() {
-        let tier = PolicyByteCache::new(PolicyKind::MinIo, 2);
-        let native = MinIoByteCache::new(2);
-        for item in 0..5u64 {
-            if tier.lookup(item).is_none() {
-                tier.admit(item, payload(item, 1));
-            }
-            if CacheTier::lookup(&native, item).is_none() {
-                CacheTier::admit(&native, item, payload(item, 1));
-            }
-        }
-        assert_eq!(tier.resident_items(), native.resident_items());
-        assert_eq!(tier.used_bytes(), CacheTier::used_bytes(&native));
-        for item in 0..5u64 {
-            assert_eq!(tier.contains(item), CacheTier::contains(&native, item));
-        }
-    }
-
-    #[test]
     fn racing_admits_still_count_one_miss_per_fetch() {
         // Two workers can both lookup-miss the same item before either
         // admits it; the loser's admit is a no-op, but both fetches must be
         // accounted (one miss each), matching the bytes they actually read
         // from the backend.
-        let tier = PolicyByteCache::new(PolicyKind::Lru, 1 << 20);
+        let tier = TieredByteCache::single(PolicyKind::Lru, 1 << 20);
         assert!(tier.lookup(7).is_none());
         assert!(tier.lookup(7).is_none()); // second worker, same race window
         tier.admit(7, payload(7, 4));
-        tier.admit(7, payload(7, 4)); // loser's admit: keeps resident copy
+        let kept = tier.admit(7, Arc::new(vec![9; 4])); // loser's admit
+        assert_eq!(kept.as_slice(), &[7; 4], "first copy wins");
         assert_eq!(tier.misses(), 2, "both fetches were misses");
         assert_eq!(tier.hits(), 0);
         assert_eq!(tier.resident_items(), 1);
@@ -849,10 +768,10 @@ mod tests {
     }
 
     #[test]
-    fn single_level_tiered_cache_matches_policy_byte_cache_exactly() {
+    fn single_level_tiered_cache_replays_its_policy_exactly() {
         // The contract that lets sessions route every tier through the
-        // chain: same hits, misses, residency, used bytes and payloads as
-        // the dedicated single-policy implementation, for every policy.
+        // chain: same hits, misses, residency and used bytes as the raw
+        // `dcache` policy driven through the same fetches, for every policy.
         for kind in [
             PolicyKind::MinIo,
             PolicyKind::Lru,
@@ -860,29 +779,25 @@ mod tests {
             PolicyKind::Clock,
         ] {
             let tiered = TieredByteCache::single(kind, 6);
-            let flat = PolicyByteCache::new(kind, 6);
+            let mut oracle = dcache::build_cache(kind, 6);
             let trace: Vec<u64> = vec![1, 2, 3, 4, 1, 2, 5, 6, 7, 1, 3, 5, 7, 2];
             for &item in &trace {
                 fetch_through(&tiered, item, 2);
-                fetch_through(&flat, item, 2);
+                oracle.access(item, 2);
             }
-            assert_eq!(tiered.hits(), flat.hits(), "{kind:?}");
-            assert_eq!(tiered.misses(), flat.misses(), "{kind:?}");
-            assert_eq!(
-                tiered.used_bytes(),
-                CacheTier::used_bytes(&flat),
-                "{kind:?}"
-            );
-            assert_eq!(tiered.resident_items(), flat.resident_items(), "{kind:?}");
+            assert_eq!(tiered.hits(), oracle.stats().hits, "{kind:?}");
+            assert_eq!(tiered.misses(), oracle.stats().misses, "{kind:?}");
+            assert_eq!(tiered.used_bytes(), oracle.used_bytes(), "{kind:?}");
+            assert_eq!(tiered.resident_items(), oracle.len(), "{kind:?}");
             for item in 0..8u64 {
                 assert_eq!(
                     tiered.contains(item),
-                    flat.contains(item),
+                    oracle.contains(&item),
                     "{kind:?} {item}"
                 );
                 assert_eq!(
                     tiered.lookup(item).is_some(),
-                    flat.lookup(item).is_some(),
+                    oracle.contains(&item),
                     "{kind:?} {item}"
                 );
             }
@@ -961,17 +876,14 @@ mod tests {
         let per_shard = build();
         for shard in 0..shards {
             for &item in &trace {
-                if dcache::shard_of_key(item, shards) == shard {
+                if shard_of_key(item, shards) == shard {
                     fetch_through(&per_shard, item, 2);
                 }
             }
         }
         assert_eq!(in_plan_order.hits(), per_shard.hits());
         assert_eq!(in_plan_order.misses(), per_shard.misses());
-        assert_eq!(
-            CacheTier::used_bytes(&in_plan_order),
-            CacheTier::used_bytes(&per_shard)
-        );
+        assert_eq!(in_plan_order.used_bytes(), per_shard.used_bytes());
         assert_eq!(in_plan_order.resident_items(), per_shard.resident_items());
         for item in 0..40u64 {
             assert_eq!(in_plan_order.contains(item), per_shard.contains(item));
@@ -983,15 +895,66 @@ mod tests {
         // 10 bytes across 4 shards: 3+3+2+2, never silently rounded away.
         let tier = TieredByteCache::single_sharded(PolicyKind::MinIo, 10, 4);
         assert_eq!(tier.num_shards(), 4);
-        assert_eq!(CacheTier::capacity_bytes(&tier), 10);
+        assert_eq!(tier.capacity_bytes(), 10);
         let snaps = tier.tier_snapshots();
         assert_eq!(snaps.len(), 1);
         assert_eq!(snaps[0].capacity_bytes, 10, "aggregate, not per-shard");
+        for shards in [1usize, 2, 3, 4, 7] {
+            let tier = TieredByteCache::single_sharded(PolicyKind::MinIo, 1003, shards);
+            assert_eq!(tier.capacity_bytes(), 1003, "{shards} shards");
+        }
     }
 
     #[test]
-    fn sharded_persistent_level_spills_into_per_shard_dirs_and_rewarm() {
-        use vfs::MemVfs;
+    fn remove_range_frees_capacity_for_new_admissions() {
+        let tier = TieredByteCache::single_sharded(PolicyKind::MinIo, 8, 2);
+        for item in 0..20u64 {
+            fetch_through(&tier, item, 1);
+        }
+        let resident: Vec<u64> = (0..20).filter(|&k| tier.contains(k)).collect();
+        assert_eq!(resident.len(), 8, "MinIO filled both shards exactly");
+        let victim = resident[0];
+        tier.remove_range(victim..victim + 1);
+        assert!(!tier.contains(victim) && tier.lookup(victim).is_none());
+        assert_eq!(tier.used_bytes(), 7);
+        // A fresh key routed to the freed shard is admitted again.
+        let shard = shard_of_key(victim, 2);
+        let newcomer = (1000..2000u64)
+            .find(|&k| shard_of_key(k, 2) == shard)
+            .unwrap();
+        tier.admit(newcomer, payload(newcomer, 1));
+        assert!(tier.contains(newcomer));
+        assert_eq!(tier.used_bytes(), 8);
+    }
+
+    #[test]
+    fn floored_admissions_land_below_the_floor_and_report_their_level() {
+        let tier = TieredByteCache::new(vec![
+            ByteTierSpec::dram(PolicyKind::MinIo, 4),
+            ByteTierSpec::sata_ssd(PolicyKind::MinIo, 4),
+        ]);
+        let (_, admission) = tier.admit_floored(1, payload(1, 1), |size| (1, size));
+        let admission = admission.expect("first admission");
+        assert_eq!(admission.level, Some(1), "spilled below DRAM");
+        assert_eq!(admission.books, 1, "the floor saw the payload size");
+        let (_, admission) = tier.admit_floored(1, payload(1, 1), |_| (0, ()));
+        assert!(
+            admission.is_none(),
+            "already resident: the floor is never asked"
+        );
+        // A floored hit stays put; an unfloored one promotes into DRAM.
+        let hit = tier.lookup_floored(1, |_| (1, ())).unwrap();
+        assert_eq!((hit.level, hit.promoted_to), (1, None));
+        assert!(hit.device_seconds > 0.0, "SSD hits cost device time");
+        let hit = tier.lookup_floored(1, |_| (0, ())).unwrap();
+        assert_eq!((hit.level, hit.promoted_to), (1, Some(0)));
+        assert!(tier
+            .lookup_floored(2, |_| -> (usize, ()) { unreachable!() })
+            .is_none());
+    }
+
+    #[test]
+    fn persistent_level_warms_any_shard_count_from_one_store() {
         let vfs: Arc<dyn Vfs> = Arc::new(MemVfs::new());
         let specs = || {
             vec![
@@ -999,17 +962,16 @@ mod tests {
                 ByteTierSpec::sata_ssd(PolicyKind::MinIo, 64).persistent(Arc::clone(&vfs), "spill"),
             ]
         };
-        let shards = 2;
         {
-            let tier = TieredByteCache::new_sharded(specs(), shards);
+            let tier = TieredByteCache::new_sharded(specs(), 2);
             for item in 0..12u64 {
                 fetch_through(&tier, item, 2);
             }
             assert!(tier.resident_items() > 4, "victims demoted into the SSD");
         }
-        // A rebuilt cache over the same VFS and the same shard count warms
-        // each shard from its own spill-{k} directory.
-        let reborn = TieredByteCache::new_sharded(specs(), shards);
+        assert!(vfs.exists("spill/MANIFEST"), "one store, no shard subdirs");
+        assert!(!vfs.exists("spill/shard-0/MANIFEST"));
+        let reborn = TieredByteCache::new_sharded(specs(), 3);
         assert!(reborn.resident_items() > 0, "warm restart");
         assert_eq!(reborn.hits(), 0, "warm contents, cold statistics");
         for item in 0..12u64 {
@@ -1022,7 +984,7 @@ mod tests {
 
     #[test]
     fn hit_and_miss_counters_count_fetches() {
-        let tier = PolicyByteCache::new(PolicyKind::Fifo, 1 << 20);
+        let tier = TieredByteCache::single(PolicyKind::Fifo, 1 << 20);
         for epoch in 0..3 {
             for item in 0..10u64 {
                 match tier.lookup(item) {

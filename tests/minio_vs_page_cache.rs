@@ -149,28 +149,28 @@ fn minio_needs_no_bookkeeping_and_never_evicts() {
 
 #[test]
 fn dcache_minio_policy_pins_the_runtime_minio_byte_cache_behaviour() {
-    // Satellite invariant: `dcache`'s MinIO policy (used by the simulator's
-    // `storage::StorageNode`) and the runtime's `coordl::MinIoByteCache` are
-    // two implementations of §4.1's one policy.  Driving both with the same
-    // variable-size access trace must produce identical hit/miss counts,
-    // identical residency (byte-for-byte AND item-for-item) and identical
-    // steady-state arithmetic — this is what makes `dstool validate`'s
-    // predicted-vs-empirical comparison meaningful.
-    use datastalls::coordl::MinIoByteCache;
+    // `dcache`'s MinIO policy (used by the simulator's `storage::StorageNode`)
+    // and the runtime's byte cache — a single-level MinIO
+    // `coordl::TieredByteCache` — must be one policy.  Driving both with
+    // the same variable-size access trace must produce identical hit/miss
+    // counts, identical residency (byte-for-byte AND item-for-item) and
+    // identical steady-state arithmetic — this is what makes
+    // `dstool validate`'s predicted-vs-empirical comparison meaningful.
+    use datastalls::coordl::{CacheTier, TieredByteCache};
     use std::sync::Arc;
 
     let spec = DatasetSpec::new("parity", 500, 2048, 0.4, 4.0);
     let capacity = spec.cache_bytes_for_fraction(0.45);
     let mut policy = MinIoCache::new(capacity);
-    let byte_cache = MinIoByteCache::new(capacity);
+    let byte_cache = TieredByteCache::single(PolicyKind::MinIo, capacity);
     let sampler = EpochSampler::new(spec.num_items, 123);
 
     for epoch in 0..3u64 {
         for item in sampler.permutation(epoch) {
             let size = spec.item_size(item);
             policy.access(item, size);
-            if byte_cache.get(item).is_none() {
-                byte_cache.insert(item, Arc::new(vec![0u8; size as usize]));
+            if byte_cache.lookup(item).is_none() {
+                byte_cache.admit(item, Arc::new(vec![0u8; size as usize]));
             }
         }
     }
@@ -178,7 +178,11 @@ fn dcache_minio_policy_pins_the_runtime_minio_byte_cache_behaviour() {
     assert_eq!(policy.stats().hits, byte_cache.hits(), "hit counts");
     assert_eq!(policy.stats().misses, byte_cache.misses(), "miss counts");
     assert_eq!(policy.used_bytes(), byte_cache.used_bytes(), "residency");
-    assert_eq!(policy.len(), byte_cache.len(), "resident item counts");
+    assert_eq!(
+        policy.len(),
+        byte_cache.resident_items(),
+        "resident item counts"
+    );
     for item in 0..spec.num_items {
         assert_eq!(
             policy.contains(&item),
@@ -193,8 +197,8 @@ fn dcache_minio_policy_pins_the_runtime_minio_byte_cache_behaviour() {
     for item in sampler.permutation(9) {
         let size = spec.item_size(item);
         policy.access(item, size);
-        if byte_cache.get(item).is_none() {
-            byte_cache.insert(item, Arc::new(vec![0u8; size as usize]));
+        if byte_cache.lookup(item).is_none() {
+            byte_cache.admit(item, Arc::new(vec![0u8; size as usize]));
         }
     }
     assert_eq!(policy.stats().hits, resident);

@@ -1,17 +1,18 @@
-//! Equivalence of the `TierChain`-backed session tiers with the dedicated
-//! single-policy byte caches they replaced.
+//! Equivalence of the `TierChain`-backed session tiers with the raw
+//! `dcache` policies they run.
 //!
-//! Every `Session` now routes its cache tier(s) through a
+//! Every `Session` routes its cache tier(s) through a
 //! `coordl::TieredByteCache` (a `dcache::TierChain` holding real payloads).
-//! These tests pin the refactor's contract: a single-level chain produces
-//! *bit-identical* streams and `LoaderStats` counters to the dedicated
-//! `MinIoByteCache` / `PolicyByteCache` implementations, in every session
-//! mode — and a chain whose extra tier has zero capacity degenerates to the
-//! single-tier behaviour exactly.
+//! These tests pin its contract: a session's tier counters (hits, misses,
+//! used bytes, resident items) and its storage/cache byte split equal a
+//! replay of the session's fetch sequence through `dcache::build_cache` of
+//! the same policy and capacity; the same cache injected through
+//! `cache_tier` delivers *bit-identical* streams and `LoaderStats`
+//! counters, in every session mode; and a chain whose extra tier has zero
+//! capacity degenerates to the single-tier behaviour exactly.
 
-use datastalls::coordl::{
-    ByteTierSpec, LoaderStats, MinIoByteCache, Mode, PolicyByteCache, Session, SessionConfig,
-};
+use datastalls::cache::{build_cache, AccessOutcome, Cache};
+use datastalls::coordl::{ByteTierSpec, LoaderStats, Mode, Session, SessionConfig};
 use datastalls::prelude::*;
 use prep::PreparedSample;
 use std::sync::Arc;
@@ -53,6 +54,27 @@ fn config(batch: usize, cache: u64, workers: usize) -> SessionConfig {
     }
 }
 
+/// The raw `dcache` policy after replaying a serial session's fetch
+/// sequence (`items`, in fetch order), plus the (storage, cache) byte split
+/// those fetches produce.
+fn replay(
+    kind: PolicyKind,
+    capacity: u64,
+    source: &dyn DataSource,
+    items: impl IntoIterator<Item = u64>,
+) -> (Box<dyn Cache<u64> + Send>, u64, u64) {
+    let mut oracle = build_cache(kind, capacity);
+    let (mut storage, mut cached) = (0, 0);
+    for item in items {
+        let size = source.item_bytes(item);
+        match oracle.access(item, size) {
+            AccessOutcome::Hit => cached += size,
+            AccessOutcome::Inserted | AccessOutcome::Bypassed => storage += size,
+        }
+    }
+    (oracle, storage, cached)
+}
+
 /// Drain one single-mode session, returning its prepared samples per epoch.
 fn drain_single(session: &Session, epochs: u64) -> Vec<Vec<PreparedSample>> {
     (0..epochs)
@@ -67,7 +89,7 @@ fn drain_single(session: &Session, epochs: u64) -> Vec<Vec<PreparedSample>> {
 }
 
 #[test]
-fn chain_backed_minio_tier_matches_the_dedicated_minio_byte_cache() {
+fn chain_backed_minio_tier_matches_the_dcache_policy() {
     // Partial residency (cache = half the dataset) with one worker: the
     // admission order is deterministic, so *every* counter must agree.
     let source = store(300, 1024);
@@ -78,15 +100,16 @@ fn chain_backed_minio_tier_matches_the_dedicated_minio_byte_cache() {
         .pipeline(pipeline())
         .build()
         .expect("chain session");
-    let dedicated_tier = Arc::new(MinIoByteCache::new(cache));
+    let dedicated_tier = Arc::new(TieredByteCache::single(PolicyKind::MinIo, cache));
     let dedicated = Session::builder(Arc::clone(&source), config(32, cache, 1))
         .pipeline(pipeline())
         .cache_tier(Arc::clone(&dedicated_tier) as Arc<dyn CacheTier>)
         .build()
         .expect("dedicated session");
 
+    let samples = drain_single(&chain, 2);
     assert_eq!(
-        drain_single(&chain, 2),
+        samples,
         drain_single(&dedicated, 2),
         "prepared samples must be bit-identical"
     );
@@ -95,18 +118,28 @@ fn chain_backed_minio_tier_matches_the_dedicated_minio_byte_cache() {
         stats_tuple(dedicated.stats()),
         "every LoaderStats counter must match"
     );
+    let (oracle, storage, cached) = replay(
+        PolicyKind::MinIo,
+        cache,
+        source.as_ref(),
+        samples.iter().flatten().map(|s| s.item),
+    );
     let tier = chain.cache_tier().expect("single mode tier");
-    assert_eq!(tier.used_bytes(), dedicated_tier.used_bytes());
-    assert_eq!(tier.resident_items(), dedicated_tier.len());
-    assert_eq!(tier.hits(), dedicated_tier.hits());
-    assert_eq!(tier.misses(), dedicated_tier.misses());
+    assert_eq!(tier.used_bytes(), oracle.used_bytes());
+    assert_eq!(tier.resident_items(), oracle.len());
+    assert_eq!(tier.hits(), oracle.stats().hits);
+    assert_eq!(tier.misses(), oracle.stats().misses);
     assert_eq!(tier.policy_name(), "MinIO");
+    assert_eq!(chain.stats().bytes_from_storage(), storage);
+    assert_eq!(chain.stats().bytes_from_cache(), cached);
+    assert_eq!(dedicated_tier.hits(), oracle.stats().hits);
 }
 
 #[test]
-fn chain_backed_lru_tier_matches_the_policy_byte_cache_across_workers() {
+fn chain_backed_lru_tier_matches_the_dcache_policy_across_workers() {
     // The executor's sequential fetch order makes LRU decisions identical
-    // for any worker count; pin chain == dedicated at workers 1 and 3.
+    // for any worker count; pin chain == dedicated == the raw policy at
+    // workers 1 and 3.
     let source = store(256, 512);
     let total_bytes: u64 = (0..source.len()).map(|i| source.item_bytes(i)).sum();
     let cache = total_bytes * 2 / 5; // forces steady-state thrashing
@@ -116,31 +149,35 @@ fn chain_backed_lru_tier_matches_the_policy_byte_cache_across_workers() {
             .cache_policy(PolicyKind::Lru)
             .build()
             .expect("chain session");
-        let dedicated_tier = Arc::new(PolicyByteCache::new(PolicyKind::Lru, cache));
+        let dedicated_tier = Arc::new(TieredByteCache::single(PolicyKind::Lru, cache));
         let dedicated = Session::builder(Arc::clone(&source), config(25, cache, workers))
             .pipeline(pipeline())
             .cache_tier(Arc::clone(&dedicated_tier) as Arc<dyn CacheTier>)
             .build()
             .expect("dedicated session");
 
-        assert_eq!(
-            drain_single(&chain, 3),
-            drain_single(&dedicated, 3),
-            "workers={workers}"
-        );
+        let samples = drain_single(&chain, 3);
+        assert_eq!(samples, drain_single(&dedicated, 3), "workers={workers}");
         assert_eq!(
             stats_tuple(chain.stats()),
             stats_tuple(dedicated.stats()),
             "workers={workers}"
         );
-        let tier = chain.cache_tier().expect("single mode tier");
-        assert_eq!(tier.hits(), CacheTier::hits(dedicated_tier.as_ref()));
-        assert_eq!(tier.misses(), CacheTier::misses(dedicated_tier.as_ref()));
-        assert_eq!(
-            tier.used_bytes(),
-            CacheTier::used_bytes(dedicated_tier.as_ref()),
-            "workers={workers}"
+        let (oracle, storage, cached) = replay(
+            PolicyKind::Lru,
+            cache,
+            source.as_ref(),
+            samples.iter().flatten().map(|s| s.item),
         );
+        let tier = chain.cache_tier().expect("single mode tier");
+        assert_eq!(tier.hits(), oracle.stats().hits, "workers={workers}");
+        assert_eq!(tier.misses(), oracle.stats().misses, "workers={workers}");
+        assert_eq!(tier.used_bytes(), oracle.used_bytes(), "workers={workers}");
+        assert_eq!(tier.resident_items(), oracle.len(), "workers={workers}");
+        assert!(oracle.stats().evictions > 0, "the capacity must thrash");
+        assert_eq!(chain.stats().bytes_from_storage(), storage);
+        assert_eq!(chain.stats().bytes_from_cache(), cached);
+        assert_eq!(dedicated_tier.misses(), oracle.stats().misses);
     }
 }
 
@@ -195,8 +232,10 @@ fn coordinated_sessions_agree_between_chain_and_dedicated_tiers() {
         .mode(Mode::Coordinated { jobs })
         .pipeline(pipeline());
         if dedicated {
-            builder =
-                builder.cache_tier(Arc::new(MinIoByteCache::new(64 << 20)) as Arc<dyn CacheTier>);
+            builder = builder.cache_tier(Arc::new(TieredByteCache::single(
+                PolicyKind::MinIo,
+                64 << 20,
+            )) as Arc<dyn CacheTier>);
         }
         let session = builder.build().expect("session");
         let mut per_job: Vec<Vec<PreparedSample>> = Vec::new();
@@ -226,7 +265,25 @@ fn coordinated_sessions_agree_between_chain_and_dedicated_tiers() {
             tier.used_bytes(),
         )
     };
-    assert_eq!(run(false), run(true));
+    let chain = run(false);
+    assert_eq!(chain, run(true));
+    // One shared sweep fetches each epoch once, in any job's stream order.
+    let (per_job, _, hits, misses, used) = chain;
+    let fetches = [&per_job[0], &per_job[jobs]].into_iter().flatten();
+    let (oracle, _, _) = replay(
+        PolicyKind::MinIo,
+        64 << 20,
+        source.as_ref(),
+        fetches.map(|s| s.item),
+    );
+    assert_eq!(
+        (hits, misses, used),
+        (
+            oracle.stats().hits,
+            oracle.stats().misses,
+            oracle.used_bytes()
+        )
+    );
 }
 
 #[test]
