@@ -118,6 +118,7 @@ impl CoordinatedEngine {
             prefetch_depth: self.prefetch_depth,
             fetch_threads: self.fetch_threads,
             fetch_shards: self.fetch_shards,
+            delivery_window: false,
         });
         let shared = Arc::clone(executor.shared());
 
@@ -308,11 +309,7 @@ fn spawn_recovery_thread(
                         return;
                     }
                 };
-                let outcome = staging.publish(Minibatch {
-                    epoch,
-                    index: *index,
-                    samples,
-                });
+                let outcome = staging.publish(Minibatch::new(epoch, *index, samples));
                 if outcome == PublishOutcome::Shutdown {
                     return;
                 }

@@ -18,6 +18,21 @@
 //!                  coordinated StagingArea
 //! ```
 //!
+//! **Bounded delivery.**  An ordered stream (single and partitioned
+//! sessions) delivers batches strictly in plan order, so while one prep
+//! worker is descheduled mid-batch, every batch the other workers finish
+//! waits in the reorder buffer.  Left alone that buffer grows with the
+//! length of the stall and the speed of prep, and so does peak memory.  The
+//! fetch stage therefore starts batch `b` only once `b < next +
+//! prefetch_depth + workers`, where `next` is the first batch the consumer
+//! has not taken: that is what the raw queue and the workers hold, so at
+//! most that many batches are anywhere between fetch and consumer.  The
+//! window changes when a fetch happens, never which one, so plan-order
+//! tier transactions and every digest are unaffected.  Shutdown and any
+//! recorded failure wake threads parked on it (an ordered stream cannot get
+//! past a lost batch).  The coordinated staging area bounds itself with
+//! its staging window.
+//!
 //! **Determinism contract.**  With the default `fetch_threads = 1` every
 //! cache-tier transaction happens on the single fetch thread, in plan
 //! order, so cache hits, misses, byte provenance and eviction decisions are
@@ -40,6 +55,37 @@
 //! `tests/parallel_session_equivalence.rs` and
 //! `tests/parallel_fetch_equivalence.rs` suites pin this contract.
 //!
+//! **Payload buffers.**  Prep reuses payload allocations instead of asking
+//! the allocator for a fresh buffer per sample.  Each epoch's executor owns
+//! one [`PayloadPool`], shared by its prep workers, and a payload buffer
+//! runs one loop:
+//!
+//! ```text
+//!   pool.take() ─► prepare_into(.., buf) ─► Minibatch ─► sink ─► consumer(s)
+//!        ▲                                                            │
+//!        └──────── last reference to the Minibatch drops (≤ cap) ─────┘
+//! ```
+//!
+//! A worker takes one buffer per sample (a new empty one when the pool is
+//! dry) and `prep` overwrites it in place.  The delivered [`Minibatch`]
+//! carries a handle to the pool; when its last reference drops — the single
+//! consumer, the last coordinated job to take it from the staging area, or
+//! a `Server` tenant's consumer — its buffers go back to the pool while the
+//! pool holds fewer than its cap, and are freed otherwise.  A buffer is
+//! therefore never reused while any batch still references it.
+//!
+//! The pool lives exactly as long as the epoch (and any batches a consumer
+//! keeps past it), and its cap is `PAYLOAD_BUFFERS_PER_WORKER` (8) buffers
+//! per prep worker, so it follows `workers` and adds no setting.  It is
+//! kept small on purpose: idle buffers are memory no batch uses, and a
+//! pool that recycled whole batches, or one that outlived its epoch,
+//! raised peak memory in the sweep.  `prepare_into` fits each buffer to
+//! the payload it writes, so a recycled buffer never carries the capacity
+//! of an earlier, larger payload.  A batch larger than the cap still
+//! allocates the rest of its buffers, but a few idle buffers per worker
+//! are enough to stop the allocator from trimming the heap and faulting it
+//! back in on every batch (see EXPERIMENTS.md for the cap and scope sweep).
+//!
 //! **Failure contract.**  A panicking stage thread is caught, converted into
 //! a descriptive [`CoordlError::WorkerPanicked`] and recorded in the shared
 //! [`ExecutorShared`] slot; the channels disconnect, the remaining threads
@@ -50,7 +96,7 @@
 //! queue.
 
 use crate::error::CoordlError;
-use crate::minibatch::Minibatch;
+use crate::minibatch::{Minibatch, PayloadPool};
 use crate::stats::LoaderStats;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use dataset::ItemId;
@@ -61,7 +107,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// How raw bytes for one item are obtained (tier → backend for single and
 /// coordinated sessions, cluster lookup order for partitioned nodes).
@@ -94,11 +140,25 @@ struct RawBatch {
 }
 
 /// State shared between an executor's threads and its owner: the first
-/// worker panic (as a typed error) and the shutdown flag.
+/// worker panic (as a typed error), the shutdown flag and, for ordered
+/// streams, the delivery window.
 #[derive(Default)]
 pub(crate) struct ExecutorShared {
     error: Mutex<Option<CoordlError>>,
     shutdown: AtomicBool,
+    window: Option<DeliveryWindow>,
+}
+
+/// How far an ordered stream's fetch stage may run ahead of its consumer
+/// (see "Bounded delivery" in the module docs).  An ordered plan numbers
+/// its batches `0..n` in plan order, so the batch the consumer waits for
+/// is always inside the window and waiting on it cannot deadlock.
+struct DeliveryWindow {
+    /// The first batch index the consumer has not taken yet.
+    next: Mutex<usize>,
+    cv: parking_lot::Condvar,
+    /// Batches the fetch stage may start past `next`.
+    ahead: usize,
 }
 
 impl ExecutorShared {
@@ -116,6 +176,8 @@ impl ExecutorShared {
         if slot.is_none() {
             *slot = Some(CoordlError::WorkerPanicked { stage, detail });
         }
+        drop(slot);
+        self.wake_window();
     }
 
     /// Record a recovery-producer panic (coordinated mode's failure path).
@@ -130,6 +192,8 @@ impl ExecutorShared {
         if slot.is_none() {
             *slot = Some(err);
         }
+        drop(slot);
+        self.wake_window();
     }
 
     /// The recorded failure, if any worker panicked.
@@ -145,10 +209,47 @@ impl ExecutorShared {
     /// Ask the fetch thread to stop at the next batch boundary.
     pub(crate) fn begin_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        self.wake_window();
     }
 
     fn is_shutdown(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst)
+    }
+
+    /// Block a fetch thread until batch `index` is inside the delivery
+    /// window.  Returns `false` when the epoch is shutting down or a stage
+    /// failed instead: an ordered stream cannot get past a lost batch, so
+    /// the window would never open.
+    fn wait_for_window(&self, index: usize) -> bool {
+        let Some(w) = &self.window else {
+            return true;
+        };
+        let mut next = w.next.lock();
+        while index >= *next + w.ahead {
+            if self.is_shutdown() || self.error.lock().is_some() {
+                return false;
+            }
+            w.cv.wait(&mut next);
+        }
+        true
+    }
+
+    /// The consumer has taken every batch before `next`.
+    fn advance_window(&self, next: usize) {
+        if let Some(w) = &self.window {
+            *w.next.lock() = next;
+            w.cv.notify_all();
+        }
+    }
+
+    /// Wake fetch threads parked on the delivery window so they re-check
+    /// the shutdown flag and the failure slot.  Taking the lock orders the
+    /// wake-up after any waiter's check.
+    fn wake_window(&self) {
+        if let Some(w) = &self.window {
+            let _next = w.next.lock();
+            w.cv.notify_all();
+        }
     }
 }
 
@@ -180,24 +281,43 @@ pub(crate) struct ExecutorSpec {
     /// shard count of the session's sharded tier for the determinism
     /// contract to hold.
     pub fetch_shards: usize,
+    /// Ordered streams: bound the fetch stage by the consumer's progress
+    /// (see "Bounded delivery" in the module docs).  The coordinated
+    /// staging area bounds itself.
+    pub delivery_window: bool,
 }
+
+/// Idle payload buffers each prep worker's share of the epoch's
+/// [`PayloadPool`] holds (see the module docs for why the pool is small).
+const PAYLOAD_BUFFERS_PER_WORKER: usize = 8;
 
 /// A running fetch + prep pipeline for one epoch.  Dropping it (after the
 /// owner has disconnected the sink's consumer side) joins every thread.
 pub(crate) struct PrefetchExecutor {
     shared: Arc<ExecutorShared>,
+    /// The sharded fetch pool, when `fetch_threads > 1`: shutdown wakes its
+    /// parked threads through the pool's condvar.
+    fetch_pool: Option<Arc<FetchPool>>,
     handles: Vec<JoinHandle<()>>,
 }
 
 impl PrefetchExecutor {
     /// Spawn the fetch stage and prep pool described by `spec`.
     pub(crate) fn spawn(spec: ExecutorSpec) -> Self {
-        let shared = Arc::new(ExecutorShared::default());
         let workers = spec.workers.max(1);
         let fetch_threads = spec.fetch_threads.max(1);
         let depth = spec.prefetch_depth.max(1);
+        let shared = Arc::new(ExecutorShared {
+            window: spec.delivery_window.then(|| DeliveryWindow {
+                next: Mutex::new(0),
+                cv: parking_lot::Condvar::new(),
+                ahead: depth + workers,
+            }),
+            ..ExecutorShared::default()
+        });
         let (raw_tx, raw_rx) = bounded::<RawBatch>(depth);
         let mut handles = Vec::with_capacity(workers + fetch_threads);
+        let mut fetch_pool = None;
 
         if fetch_threads == 1 {
             // The serial fetch stage, preserved verbatim: the default path
@@ -230,7 +350,9 @@ impl PrefetchExecutor {
                 ));
             }
             drop(raw_tx);
+            fetch_pool = Some(pool);
         }
+        let payloads = Arc::new(PayloadPool::new(PAYLOAD_BUFFERS_PER_WORKER * workers));
         for _ in 0..workers {
             handles.push(spawn_prep_worker(
                 spec.epoch,
@@ -238,12 +360,17 @@ impl PrefetchExecutor {
                 Arc::clone(&spec.stats),
                 Arc::clone(&spec.sink),
                 Arc::clone(&shared),
+                Arc::clone(&payloads),
                 raw_rx.clone(),
             ));
         }
         drop(raw_rx);
 
-        PrefetchExecutor { shared, handles }
+        PrefetchExecutor {
+            shared,
+            fetch_pool,
+            handles,
+        }
     }
 
     /// The error/shutdown state shared with streams and consumers.
@@ -255,9 +382,14 @@ impl PrefetchExecutor {
     ///
     /// The owner must first unblock any worker parked on the sink (drop the
     /// consumer receiver, or shut the staging area down) — this method only
-    /// unblocks the fetch → prep queue.
+    /// unblocks the fetch stage: the serial thread sees the flag at its next
+    /// batch boundary, and pool threads parked on the prefetch window are
+    /// woken through the pool's condvar.
     pub(crate) fn shutdown_and_join(&mut self) {
         self.shared.begin_shutdown();
+        if let Some(pool) = &self.fetch_pool {
+            pool.abort();
+        }
         for h in self.handles.drain(..) {
             // A panicked worker already recorded its error; the Err here is
             // just the resume payload.
@@ -288,6 +420,12 @@ fn spawn_fetch_thread(
                 }
                 if skip.as_ref().is_some_and(|s| s(index)) {
                     continue;
+                }
+                let window = Instant::now();
+                let open = shared.wait_for_window(index);
+                stats.record_fetch_stall_for(0, window.elapsed());
+                if !open {
+                    break;
                 }
                 let busy = Instant::now();
                 let fetched: Result<Vec<Arc<Vec<u8>>>, CoordlError> =
@@ -374,8 +512,8 @@ impl FetchPool {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Stop every pool thread at its next window check (error/panic/
-    /// disconnect fallout — never called on a normal completion).
+    /// Stop every pool thread at its next window check, waking any parked
+    /// on it (error/panic/disconnect fallout, and owner shutdown).
     fn abort(&self) {
         self.lock().aborted = true;
         self.cv.notify_all();
@@ -435,18 +573,23 @@ fn run_pool_fetch_thread(
     raw_tx: &Sender<RawBatch>,
 ) {
     for (pos, (index, items)) in batches.iter().enumerate() {
-        // Wait for the prefetch window, then claim (or join) this
-        // position's pending entry under the same lock hold.
+        // Wait for the delivery and prefetch windows, then claim (or join)
+        // this position's pending entry under the same lock hold.
         let wait = Instant::now();
+        if !shared.wait_for_window(*index) {
+            // Peers may be parked on the prefetch window, waiting for this
+            // thread's share of this position, which it will never fetch.
+            pool.abort();
+            return;
+        }
         let mut st = pool.lock();
         while !st.aborted && !shared.is_shutdown() && pos >= st.done + pool.depth {
-            // Timed wait: `begin_shutdown` does not know about this condvar,
-            // so a parked thread re-checks the flag on its own clock.
-            let (guard, _timeout) = pool
+            // Every way out of this wait notifies the condvar: a completed
+            // position, an abort, or the owner's shutdown (which aborts).
+            st = pool
                 .cv
-                .wait_timeout(st, Duration::from_millis(25))
+                .wait(st)
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
-            st = guard;
         }
         if st.aborted || shared.is_shutdown() {
             return;
@@ -538,6 +681,7 @@ fn spawn_prep_worker(
     stats: Arc<LoaderStats>,
     sink: Arc<dyn PreparedSink>,
     shared: Arc<ExecutorShared>,
+    payloads: Arc<PayloadPool>,
     raw_rx: Receiver<RawBatch>,
 ) -> JoinHandle<()> {
     std::thread::spawn(move || {
@@ -552,7 +696,7 @@ fn spawn_prep_worker(
                 .items
                 .iter()
                 .zip(&batch.raw)
-                .map(|(&item, raw)| pipeline.prepare(epoch, item, raw))
+                .map(|(&item, raw)| pipeline.prepare_into(epoch, item, raw, payloads.take()))
                 .collect::<Vec<_>>();
             stats.record_prepared(samples.len() as u64);
             stats.record_prep_busy(busy.elapsed());
@@ -560,11 +704,12 @@ fn spawn_prep_worker(
             // queue or staging window); like the recv above, that is time
             // the worker is not pre-processing, so it counts as prep stall.
             let publishing = Instant::now();
-            let delivered = sink.publish(Minibatch {
+            let delivered = sink.publish(Minibatch::pooled(
                 epoch,
-                index: batch.index,
+                batch.index,
                 samples,
-            });
+                Arc::clone(&payloads),
+            ));
             stats.record_prep_stall(publishing.elapsed());
             if !delivered {
                 break; // consumer gone or epoch shut down
@@ -578,7 +723,8 @@ fn spawn_prep_worker(
 
 /// Spawn one epoch's executor delivering into an order-preserving stream:
 /// prepared batches flow through a bounded channel into a reorder buffer
-/// that yields them strictly in plan order.
+/// that yields them strictly in plan order, and the fetch stage stays
+/// within the stream's delivery window (see "Bounded delivery" above).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn spawn_ordered_epoch(
     epoch: u64,
@@ -605,6 +751,7 @@ pub(crate) fn spawn_ordered_epoch(
         prefetch_depth,
         fetch_threads,
         fetch_shards,
+        delivery_window: true,
     });
     OrderedStream {
         rx: out_rx,
@@ -657,6 +804,7 @@ impl Iterator for OrderedStream {
         loop {
             if let Some(mb) = self.reorder.remove(&self.next) {
                 self.next += 1;
+                self.executor.shared().advance_window(self.next);
                 self.stats.record_delivered(mb.len() as u64);
                 return Some(mb);
             }
@@ -689,6 +837,7 @@ impl Drop for OrderedStream {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+    use std::time::Duration;
 
     fn plan(batches: usize, per_batch: usize) -> Vec<(usize, Vec<ItemId>)> {
         (0..batches)
@@ -711,6 +860,44 @@ mod tests {
             2,
             7,
         ))
+    }
+
+    #[test]
+    fn an_ordered_stream_never_fetches_past_its_delivery_window() {
+        // However slowly the consumer takes batches, the fetch stage starts
+        // batch `b` only once `b < next + depth + workers`.  `taken` trails
+        // the stream's own cursor by at most one batch, hence the `+ 1`.
+        let (per_batch, depth, workers) = (4, 2, 3);
+        for fetch_threads in [1, 3] {
+            let taken = Arc::new(AtomicUsize::new(0));
+            let seen = Arc::clone(&taken);
+            let fetch: Arc<FetchFn> = Arc::new(move |item: ItemId| {
+                let batch = item as usize / per_batch;
+                let end = seen.load(Ordering::SeqCst) + 1 + depth + workers;
+                assert!(batch < end, "fetched batch {batch}, window ends at {end}");
+                Ok(Arc::new(vec![item as u8; 16]))
+            });
+            let stream = spawn_ordered_epoch(
+                0,
+                plan(40, per_batch),
+                fetch,
+                pipeline(),
+                Arc::new(LoaderStats::default()),
+                workers,
+                depth,
+                fetch_threads,
+                8,
+            );
+            let mut delivered = 0;
+            for mb in stream {
+                assert_eq!(mb.index, delivered);
+                delivered += 1;
+                taken.store(delivered, Ordering::SeqCst);
+                // Give the stages time to run ahead if they could.
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            assert_eq!(delivered, 40, "a fetch ran past the window");
+        }
     }
 
     #[test]
@@ -842,6 +1029,7 @@ mod tests {
             prefetch_depth: 4,
             fetch_threads: 1,
             fetch_shards: 1,
+            delivery_window: false,
         });
         let mut indices = Vec::new();
         while let Ok(mb) = out_rx.recv() {
@@ -1002,21 +1190,33 @@ mod tests {
 
     #[test]
     fn dropping_a_pool_stream_early_joins_all_threads_without_deadlock() {
-        for _ in 0..8 {
-            let mut stream = spawn_ordered_epoch(
-                0,
-                plan(64, 4),
-                byte_fetch(),
-                pipeline(),
-                Arc::new(LoaderStats::default()),
-                2,
-                1, // smallest window: pool threads park on it constantly
-                4,
-                8,
-            );
-            let _ = stream.next();
-            drop(stream); // must unblock + join, not hang
-        }
+        // Pool threads parked on the prefetch window wait on the pool's
+        // condvar with no timeout, so a drop only returns if shutdown wakes
+        // them.  The drops run on a helper thread so that a lost wake-up
+        // fails the test instead of hanging it.
+        let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+        std::thread::spawn(move || {
+            for _ in 0..50 {
+                let mut stream = spawn_ordered_epoch(
+                    0,
+                    plan(64, 4),
+                    byte_fetch(),
+                    pipeline(),
+                    Arc::new(LoaderStats::default()),
+                    2,
+                    1, // smallest window: pool threads park on it constantly
+                    4,
+                    8,
+                );
+                let _ = stream.next();
+                drop(stream); // must unblock + join, not hang
+            }
+            let _ = done_tx.send(());
+        });
+        assert!(
+            done_rx.recv_timeout(Duration::from_secs(60)).is_ok(),
+            "an early drop hung or panicked: shutdown must wake parked pool threads"
+        );
     }
 
     #[test]
@@ -1041,6 +1241,7 @@ mod tests {
             prefetch_depth: 4,
             fetch_threads: 3,
             fetch_shards: 8,
+            delivery_window: false,
         });
         let mut indices = Vec::new();
         while let Ok(mb) = out_rx.recv() {

@@ -63,7 +63,7 @@ pub use coordinator::{EpochSession, JobEpochIterator};
 pub use error::CoordlError;
 pub use fault::{FaultClock, FaultEvent, FaultKind, FaultPlan, FaultStep};
 pub use fsbackend::FsBackend;
-pub use minibatch::Minibatch;
+pub use minibatch::{Minibatch, PayloadPool};
 pub use partition::{
     FetchOrigin, PartitionStats, PartitionedCacheCluster, RemoteHit, RemotePeerTier,
 };

@@ -568,6 +568,10 @@ impl Session {
     /// [`EpochTrajectory`] in the session's report, so consume the streams
     /// within the handle's lifetime.
     pub fn epoch(&self, epoch: u64) -> EpochRun<'_> {
+        // Snapshot before spawning: a coordinated epoch's executor starts
+        // fetching and preparing as soon as it exists, and that work belongs
+        // to this epoch.
+        let start = self.snapshot();
         let inner = match &self.kind {
             SessionKind::Single { .. } => RunInner::Single,
             SessionKind::Coordinated { engine } => RunInner::Coordinated(engine.run_epoch(epoch)),
@@ -576,7 +580,7 @@ impl Session {
         EpochRun {
             session: self,
             epoch,
-            start: self.snapshot(),
+            start,
             inner,
             single_stream_taken: AtomicBool::new(false),
         }

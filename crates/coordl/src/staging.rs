@@ -232,16 +232,16 @@ mod tests {
     use std::time::Duration;
 
     fn batch(index: usize, bytes: usize) -> Minibatch {
-        Minibatch {
-            epoch: 0,
+        Minibatch::new(
+            0,
             index,
-            samples: vec![PreparedSample {
+            vec![PreparedSample {
                 item: index as u64,
                 epoch: 0,
                 augmentation_seed: 0,
                 data: vec![0u8; bytes],
             }],
-        }
+        )
     }
 
     const T: Duration = Duration::from_millis(200);

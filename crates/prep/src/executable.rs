@@ -7,6 +7,15 @@
 //! provenance (item id, epoch, augmentation seed) for tests to verify the
 //! exactly-once and fresh-randomness invariants that coordinated prep must
 //! preserve.
+//!
+//! The pipeline runs as one kernel, [`ExecutablePipeline::prepare_into`]:
+//! a decode followed by a crop decodes only the crop window straight from
+//! the raw bytes, every other transform rewrites the output buffer in
+//! place, and the output buffer is supplied by the caller, so a loader that
+//! recycles buffers prepares without allocating.  The
+//! result is bit-identical to applying the transforms one at a time, each
+//! into a new buffer; the root `tests/prep_kernel_equivalence.rs` pins that
+//! against the transform-at-a-time chain.
 
 use crate::transforms::{PrepPipeline, TransformKind};
 use dataset::ItemId;
@@ -61,93 +70,217 @@ impl ExecutablePipeline {
             ^ item.wrapping_mul(0xE703_7ED1_A0B4_28DB)
     }
 
-    /// Pre-process one raw item.
+    /// Pre-process one raw item into a freshly allocated buffer.
+    ///
+    /// Equivalent to [`prepare_into`](Self::prepare_into) with an empty
+    /// `Vec`; there is one implementation.
     pub fn prepare(&self, epoch: u64, item: ItemId, raw: &[u8]) -> PreparedSample {
+        self.prepare_into(epoch, item, raw, Vec::new())
+    }
+
+    /// Pre-process one raw item, writing the payload into `buf`.
+    ///
+    /// `buf` is overwritten whatever it held before; only its allocation is
+    /// reused, so a caller that recycles payload buffers (the `coordl`
+    /// executor's per-epoch pool) pays for no allocation once a buffer is
+    /// large enough.  The buffer is first fitted to the longest payload the
+    /// kernel will write into it: a larger one gives its excess back (a
+    /// cheap in-place shrink), so a recycled buffer holds no more memory
+    /// than the payload it carries.  The output is bit-identical to
+    /// applying the pipeline's transforms one after another, each into a
+    /// new buffer:
+    ///
+    /// * a decode directly followed by a crop draws the crop window first
+    ///   (decode draws no randomness, so the draw order is unchanged) and
+    ///   then decodes only that window straight from `raw` — byte `k` of
+    ///   the window is `raw[(start + k) % n] + (start + k) / n` for a raw
+    ///   length `n` — instead of expanding the whole item and copying the
+    ///   window out (the region-of-interest decode behind DALI's fused
+    ///   decode-and-random-crop);
+    /// * every other transform rewrites the buffer in place.
+    pub fn prepare_into(
+        &self,
+        epoch: u64,
+        item: ItemId,
+        raw: &[u8],
+        mut buf: Vec<u8>,
+    ) -> PreparedSample {
         let aug_seed = self.augmentation_seed(epoch, item);
         let mut rng = SmallRng::seed_from_u64(aug_seed);
-        let mut data = raw.to_vec();
-        for t in &self.pipeline.transforms {
-            data = self.apply(*t, data, &mut rng);
+        buf.clear();
+        let mut rest = self.pipeline.transforms.as_slice();
+        // A decode followed by a crop reads `raw` directly, so the input is
+        // never expanded just to be cut down; anything else starts from a
+        // copy of `raw`.
+        match rest {
+            [decode, crop, ..] if is_decode(*decode) && is_crop(*crop) => {
+                let (start, keep) = crop_window(raw.len() * self.decoded_multiplier, &mut rng);
+                fit_capacity(&mut buf, keep);
+                decode_window(raw, start, keep, &mut buf);
+                rest = &rest[2..];
+            }
+            _ => {
+                // Leave room for a later in-place decode's expansion.
+                let grows = rest.iter().any(|&t| is_decode(t));
+                let mult = if grows { self.decoded_multiplier } else { 1 };
+                fit_capacity(&mut buf, raw.len() * mult);
+                buf.extend_from_slice(raw);
+            }
+        }
+        for &t in rest {
+            self.apply_in_place(t, &mut buf, &mut rng);
         }
         PreparedSample {
             item,
             epoch,
             augmentation_seed: aug_seed,
-            data,
+            data: buf,
         }
     }
 
-    fn apply(&self, t: TransformKind, input: Vec<u8>, rng: &mut SmallRng) -> Vec<u8> {
+    /// Apply one transform to `data` in place, drawing from `rng` exactly
+    /// as the transform's definition does.
+    fn apply_in_place(&self, t: TransformKind, data: &mut Vec<u8>, rng: &mut SmallRng) {
         match t {
             TransformKind::DecodeImage | TransformKind::DecodeAudio => {
                 // "Decode": expand the buffer by the decoded multiplier with a
-                // cheap byte-mixing expansion (stand-in for entropy decode).
-                let mut out = Vec::with_capacity(input.len() * self.decoded_multiplier);
-                for rep in 0..self.decoded_multiplier {
-                    out.extend(input.iter().map(|b| b.wrapping_add(rep as u8)));
+                // cheap byte-mixing expansion (stand-in for entropy decode):
+                // repetition `rep` of the input is shifted by `rep`.
+                let n = data.len();
+                data.resize(n * self.decoded_multiplier, 0);
+                let (input, reps) = data.split_at_mut(n);
+                for (rep, out) in reps.chunks_exact_mut(n.max(1)).enumerate() {
+                    let shift = (rep + 1) as u8;
+                    for (o, &b) in out.iter_mut().zip(input.iter()) {
+                        *o = b.wrapping_add(shift);
+                    }
                 }
-                out
             }
             TransformKind::RandomResizedCrop | TransformKind::SsdCropWithBoxes => {
-                // Keep a random contiguous 50–100 % window (never empty).
-                if input.is_empty() {
-                    return input;
-                }
-                let len = input.len();
-                let keep = rng.gen_range(len / 2..=len).max(1);
-                let start = rng.gen_range(0..=len - keep);
-                input[start..start + keep].to_vec()
+                let (start, keep) = crop_window(data.len(), rng);
+                data.copy_within(start..start + keep, 0);
+                data.truncate(keep);
             }
             TransformKind::RandomFlip => {
                 if rng.gen_bool(0.5) {
-                    input.into_iter().rev().collect()
-                } else {
-                    input
+                    data.reverse();
                 }
             }
             TransformKind::ColorJitter | TransformKind::AudioAugment => {
                 let delta: u8 = rng.gen();
-                input.into_iter().map(|b| b.wrapping_add(delta)).collect()
+                for b in data.iter_mut() {
+                    *b = b.wrapping_add(delta);
+                }
             }
             TransformKind::ResampleAudio => {
                 // Drop every 4th byte (down-sample) — deterministic.
-                input
-                    .into_iter()
-                    .enumerate()
-                    .filter(|(i, _)| i % 4 != 3)
-                    .map(|(_, b)| b)
-                    .collect()
+                let mut kept = 0;
+                for i in 0..data.len() {
+                    if i % 4 != 3 {
+                        data[kept] = data[i];
+                        kept += 1;
+                    }
+                }
+                data.truncate(kept);
             }
             TransformKind::Tokenize => {
                 // "Tokenise": fold each 4-byte window into one subword id —
-                // deterministic, like a real tokeniser.
-                input
-                    .chunks(4)
-                    .map(|c| {
-                        c.iter()
-                            .fold(0u8, |acc, &b| acc.wrapping_mul(31).wrapping_add(b))
-                    })
-                    .collect()
+                // deterministic, like a real tokeniser.  Token `j` is written
+                // to index `j <= 4j`, after its window has been read.
+                let tokens = data.len().div_ceil(4);
+                for j in 0..tokens {
+                    let window = &data[4 * j..(4 * j + 4).min(data.len())];
+                    data[j] = window
+                        .iter()
+                        .fold(0u8, |acc, &b| acc.wrapping_mul(31).wrapping_add(b));
+                }
+                data.truncate(tokens);
             }
             TransformKind::MaskTokens => {
                 // BERT-style MLM masking: replace ~15 % of tokens with a mask
                 // marker, re-drawn every epoch.
-                input
-                    .into_iter()
-                    .map(|b| if rng.gen_bool(0.15) { 0xFF } else { b })
-                    .collect()
+                for b in data.iter_mut() {
+                    if rng.gen_bool(0.15) {
+                        *b = 0xFF;
+                    }
+                }
             }
             TransformKind::NormalizeToTensor => {
                 // Byte-wise "normalisation": subtract the running mean.
-                if input.is_empty() {
-                    return input;
+                if data.is_empty() {
+                    return;
                 }
-                let mean =
-                    (input.iter().map(|&b| b as u64).sum::<u64>() / input.len() as u64) as u8;
-                input.into_iter().map(|b| b.wrapping_sub(mean)).collect()
+                let mean = (byte_sum(data) / data.len() as u64) as u8;
+                for b in data.iter_mut() {
+                    *b = b.wrapping_sub(mean);
+                }
             }
         }
     }
+}
+
+fn is_decode(t: TransformKind) -> bool {
+    matches!(t, TransformKind::DecodeImage | TransformKind::DecodeAudio)
+}
+
+fn is_crop(t: TransformKind) -> bool {
+    matches!(
+        t,
+        TransformKind::RandomResizedCrop | TransformKind::SsdCropWithBoxes
+    )
+}
+
+/// Draw a random contiguous 50–100 % window `(start, keep)` of a `len`-byte
+/// buffer (never empty).  An empty buffer draws nothing and keeps nothing.
+fn crop_window(len: usize, rng: &mut SmallRng) -> (usize, usize) {
+    if len == 0 {
+        return (0, 0);
+    }
+    let keep = rng.gen_range(len / 2..=len).max(1);
+    let start = rng.gen_range(0..=len - keep);
+    (start, keep)
+}
+
+/// Give the empty `buf` a capacity of exactly `len` bytes.  A buffer that
+/// is too small is replaced, so its stale bytes are never copied; one that
+/// is too large hands the excess back to the allocator, so a recycled
+/// buffer does not keep the capacity of an earlier, larger payload.
+fn fit_capacity(buf: &mut Vec<u8>, len: usize) {
+    if buf.capacity() < len {
+        *buf = Vec::with_capacity(len);
+    } else {
+        buf.shrink_to(len);
+    }
+}
+
+/// Append bytes `start..start + keep` of `raw`'s decoded expansion to `out`:
+/// decoded byte `p` is `raw[p % n]` shifted by its repetition `p / n`.  The
+/// window is written one repetition segment at a time, so each segment is a
+/// straight shifted copy of a slice of `raw`.
+fn decode_window(raw: &[u8], start: usize, keep: usize, out: &mut Vec<u8>) {
+    let n = raw.len();
+    let (mut pos, end) = (start, start + keep);
+    while pos < end {
+        let (rep, offset) = (pos / n, pos % n);
+        let take = (n - offset).min(end - pos);
+        let shift = rep as u8;
+        out.extend(
+            raw[offset..offset + take]
+                .iter()
+                .map(|b| b.wrapping_add(shift)),
+        );
+        pos += take;
+    }
+}
+
+/// Sum of `data`'s bytes.  Each 256-byte chunk is summed in a `u16`
+/// accumulator (255 × 256 cannot overflow it), which the compiler
+/// vectorises over wide lanes; the chunk sums are exact, so the total equals
+/// a plain `u64` sum bit for bit.
+fn byte_sum(data: &[u8]) -> u64 {
+    data.chunks(256)
+        .map(|chunk| chunk.iter().map(|&b| b as u16).sum::<u16>() as u64)
+        .sum()
 }
 
 #[cfg(test)]
@@ -237,5 +370,24 @@ mod tests {
         let b = pipeline();
         let raw: Vec<u8> = (0..64).collect();
         assert_eq!(a.prepare(4, 9, &raw), b.prepare(4, 9, &raw));
+    }
+
+    #[test]
+    fn a_recycled_buffer_is_fitted_to_its_payload() {
+        // Too large or too small, a recycled buffer leaves `prepare_into`
+        // holding exactly its payload, so recycling never keeps the
+        // capacity of an earlier, larger payload alive.
+        let raw: Vec<u8> = (0..64).collect();
+        let identity = PrepPipeline {
+            name: "identity".to_string(),
+            transforms: vec![],
+        };
+        for p in [pipeline(), ExecutablePipeline::new(identity, 6, 42)] {
+            for capacity in [0, 8, 4096] {
+                let out = p.prepare_into(2, 7, &raw, Vec::with_capacity(capacity));
+                assert_eq!(out.data.capacity(), out.data.len());
+                assert_eq!(out, p.prepare(2, 7, &raw));
+            }
+        }
     }
 }

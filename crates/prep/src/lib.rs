@@ -15,7 +15,8 @@
 //! * **executable transforms** ([`executable`]) that really operate on byte
 //!   buffers, used by the functional CoorDL loader so that coordination
 //!   correctness (exactly-once, per-epoch randomness) can be tested on real
-//!   data flow.
+//!   data flow.  [`ExecutablePipeline::prepare_into`] runs them as one
+//!   fused, in-place kernel over a caller-supplied buffer.
 
 pub mod cost;
 pub mod executable;

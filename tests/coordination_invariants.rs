@@ -8,7 +8,7 @@
 //! the MinIO byte cache and the executable prep pipeline into the cross-job
 //! staging area, and consumer threads play the role of the per-job GPUs.
 
-use datastalls::coordl::{CoordlError, Mode, Session, SessionConfig};
+use datastalls::coordl::{CacheTier, CoordlError, Mode, Session, SessionConfig, TieredByteCache};
 use datastalls::prelude::*;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -87,6 +87,85 @@ fn every_job_sees_every_item_exactly_once_per_epoch() {
                 "job {job} epoch {epoch}: an item was delivered more than once"
             );
         }
+    }
+}
+
+/// A MinIO tier whose hit counter is slow to read, so a counter snapshot
+/// taken after an epoch's executor is spawned would race its first batches.
+struct SlowCounterTier(TieredByteCache);
+
+impl CacheTier for SlowCounterTier {
+    fn lookup(&self, item: u64) -> Option<Arc<Vec<u8>>> {
+        self.0.lookup(item)
+    }
+    fn admit(&self, item: u64, bytes: Arc<Vec<u8>>) -> Arc<Vec<u8>> {
+        self.0.admit(item, bytes)
+    }
+    fn contains(&self, item: u64) -> bool {
+        self.0.contains(item)
+    }
+    fn used_bytes(&self) -> u64 {
+        self.0.used_bytes()
+    }
+    fn capacity_bytes(&self) -> u64 {
+        self.0.capacity_bytes()
+    }
+    fn resident_items(&self) -> usize {
+        self.0.resident_items()
+    }
+    fn hits(&self) -> u64 {
+        std::thread::sleep(Duration::from_millis(5));
+        self.0.hits()
+    }
+    fn misses(&self) -> u64 {
+        self.0.misses()
+    }
+    fn policy_name(&self) -> &'static str {
+        self.0.policy_name()
+    }
+}
+
+#[test]
+fn every_epoch_trajectory_counts_the_whole_shared_sweep() {
+    // One prep per sample serves every job, so each recorded epoch must
+    // show `samples_prepared x jobs == samples_delivered`.  The epoch's
+    // executor starts preparing as soon as `Session::epoch` spawns it; that
+    // work belongs to the epoch too.
+    let jobs = 4;
+    let epochs = 6;
+    let source = store(96, 256);
+    let session = Session::builder(
+        Arc::clone(&source),
+        SessionConfig {
+            batch_size: 4,
+            seed: 9,
+            take_timeout: Duration::from_secs(10),
+            ..SessionConfig::default()
+        },
+    )
+    .mode(Mode::Coordinated { jobs })
+    .pipeline(pipeline(5))
+    .cache_tier(Arc::new(SlowCounterTier(TieredByteCache::single(
+        PolicyKind::MinIo,
+        64 << 20,
+    ))))
+    .build()
+    .expect("valid coordinated config");
+    for epoch in 0..epochs {
+        consume_epoch(&session, epoch);
+    }
+    let report = session.report();
+    assert_eq!(report.epochs.len() as u64, epochs);
+    for t in &report.epochs {
+        assert_eq!(
+            t.samples_prepared * jobs as u64,
+            t.samples_delivered,
+            "epoch {}: {} prepared x {jobs} jobs vs {} delivered",
+            t.epoch,
+            t.samples_prepared,
+            t.samples_delivered
+        );
+        assert_eq!(t.samples_prepared, source.len());
     }
 }
 

@@ -112,11 +112,7 @@ fn dropping_a_coordinated_run_with_a_full_staging_window_drains_cleanly() {
 fn staging_shutdown_wakes_a_crowd_of_blocked_producers_with_typed_outcomes() {
     let area = Arc::new(StagingArea::new(1, 1));
     assert_eq!(
-        area.publish(datastalls::coordl::Minibatch {
-            epoch: 0,
-            index: 0,
-            samples: vec![],
-        }),
+        area.publish(datastalls::coordl::Minibatch::new(0, 0, vec![])),
         PublishOutcome::Published
     );
     // Eight producers all blocked on the full window.
@@ -124,11 +120,7 @@ fn staging_shutdown_wakes_a_crowd_of_blocked_producers_with_typed_outcomes() {
         .map(|index| {
             let area = Arc::clone(&area);
             std::thread::spawn(move || {
-                area.publish(datastalls::coordl::Minibatch {
-                    epoch: 0,
-                    index,
-                    samples: vec![],
-                })
+                area.publish(datastalls::coordl::Minibatch::new(0, index, vec![]))
             })
         })
         .collect();
